@@ -4,8 +4,20 @@ Two coherent states fed through a cross-Kerr phase exp(2 pi i n1 n2 / d)
 come out as sum_k (P_k |alpha>) (x) |alpha e^(2 pi i k/d)>, where P_k projects
 onto Fock indices congruent to k mod d (the pseudo-number components).  The
 ideal d x d maximally entangled target pairs the normalized pseudo-number
-components with a Loewdin-orthonormalized set of the d phase-shifted coherent
-states; ``kerr_mes_fidelity`` returns the overlap magnitude with that target.
+components |k_d> with a Loewdin-orthonormalized set of the d phase-shifted
+coherent states; ``kerr_mes_fidelity`` returns the overlap magnitude with that
+target.
+
+That overlap has the closed form (sum_k n_k)^2 / d, with n_k = ||P_k |alpha>||.
+Rotating alpha by w^j = e^(2 pi i j/d) multiplies Fock level n by w^(jn), so
+|alpha w^j> = sum_k w^(jk) n_k |k_d> exactly, in the truncated space too.
+The Gram matrix of these phase states has eigenvalues d n_k^2, and their
+Loewdin (polar) orthonormalization is |e_j> = (1/sqrt(d)) sum_k w^(jk) |k_d>,
+the discrete Fourier transform of the number basis.  So <e_j | alpha w^j> =
+(1/sqrt(d)) sum_k n_k for every j, and the output sum_j n_j |j_d> (x)
+|alpha w^j> overlaps the target by (1/d) (sum_k n_k)^2.  No two-mode array is
+needed; the two-mode helpers below stay for tests that rebuild the overlap
+directly.
 """
 
 from __future__ import annotations
@@ -20,7 +32,8 @@ from .states import poisson_tail
 
 _NORM_SLACK = 1e-9
 
-# Gram matrices with eigenvalues below this are too close to singular to invert.
+# Phase states whose Gram matrix has min/max eigenvalue ratio below this are
+# numerically dependent.
 _GRAM_EIG_FLOOR = 1e-12
 
 
@@ -158,29 +171,11 @@ def pseudo_phase_gram(alpha: complex, d: int, cutoff: int | None = None) -> np.n
     The exact magnitudes are exp(-|alpha|^2 (1 - cos(2 pi (k-j)/d))).
     """
     _check_modulus(d)
-    vecs = _pseudo_phase_states(alpha, d, cutoff)
-    return np.conjugate(vecs) @ vecs.T
-
-
-def _pseudo_phase_states(alpha: complex, d: int, cutoff: int | None) -> np.ndarray:
-    alpha = complex(alpha)
     if cutoff is None:
         cutoff = default_cutoff(alpha)
     rotations = np.exp(2j * np.pi * np.arange(d) / d)
-    return np.stack([coherent_fock(alpha * rot, cutoff).amps for rot in rotations])
-
-
-def _loewdin_orthonormalize(vecs: np.ndarray) -> np.ndarray:
-    """Symmetric (Loewdin) orthonormalization of the rows of ``vecs``."""
-    gram = np.conjugate(vecs) @ vecs.T
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    if float(eigvals[0]) < _GRAM_EIG_FLOOR * float(eigvals[-1]):
-        raise DegenerateInputError(
-            f"pseudo-phase states are numerically dependent (Gram eigenvalue {eigvals[0]:.3e})"
-        )
-    inv_sqrt = (eigvecs * (1.0 / np.sqrt(eigvals))) @ np.conjugate(eigvecs.T)
-    # row j of the result is sum_k (G^(-1/2))_kj vecs[k]
-    return inv_sqrt.T @ vecs
+    vecs = np.stack([coherent_fock(alpha * rot, cutoff).amps for rot in rotations])
+    return np.conjugate(vecs) @ vecs.T
 
 
 def kerr_mes_fidelity(alpha: complex, d: int, cutoff: int | None = None) -> float:
@@ -188,27 +183,28 @@ def kerr_mes_fidelity(alpha: complex, d: int, cutoff: int | None = None) -> floa
 
     The target is (1/sqrt(d)) sum_k |k_d> (x) |e_k>, with |k_d> the normalized
     pseudo-number components of |alpha> and |e_k> the Loewdin-orthonormalized
-    phase-shifted coherent states.
+    phase-shifted coherent states.  The overlap equals (sum_k n_k)^2 / d with
+    n_k the pseudo-number norms (see the module docstring), so it costs
+    O(d cutoff); rounding can push that sum past 1, so it is clamped to 1.
+
+    Raises ``DegenerateInputError`` when some n_k is below 1e-12, or when the
+    phase states are numerically dependent: their Gram eigenvalues are
+    d n_k^2, so when min n_k^2 < 1e-12 max n_k^2.
     """
     _check_modulus(d)
-    alpha = complex(alpha)
-    if cutoff is None:
-        cutoff = default_cutoff(alpha)
     base = coherent_fock(alpha, cutoff)
-    output = cross_kerr_apply(two_mode_product(base, base), d)
-
-    number_basis = []
-    for k in range(d):
-        component, norm = pseudo_number_component(base, d, k)
+    norms = np.array([pseudo_number_component(base, d, k)[1] for k in range(d)])
+    for k, norm in enumerate(norms):
         if norm < 1e-12:
             raise DegenerateInputError(
-                f"pseudo-number component k={k} has negligible weight for alpha={alpha}"
+                f"pseudo-number component k={k} has negligible weight for alpha={complex(alpha)}"
             )
-        number_basis.append(component.amps / norm)
-    phase_basis = _loewdin_orthonormalize(_pseudo_phase_states(alpha, d, cutoff))
-
-    target = np.einsum("ki,kj->ij", np.stack(number_basis), phase_basis) / math.sqrt(d)
-    return abs(complex(np.vdot(target, output.amps)))
+    weights = norms * norms
+    if weights.min() < _GRAM_EIG_FLOOR * weights.max():
+        raise DegenerateInputError(
+            f"pseudo-phase states are numerically dependent (Gram eigenvalue {d * weights.min():.3e})"
+        )
+    return min(1.0, float(norms.sum()) ** 2 / d)
 
 
 def _check_modulus(d: int) -> None:

@@ -75,25 +75,6 @@ class SchmidtSpectrum:
         return int(self.coeffs.size)
 
 
-@dataclass(frozen=True)
-class StateParams:
-    """Validated bundle of family parameters used by the CLI layer."""
-
-    r: float = 0.0
-    b: float = 0.0
-    N: int = 1
-    nbar: float = 0.0
-
-    def __post_init__(self):
-        for name in ("r", "b", "nbar"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise DomainError(f"{name} must be finite and nonnegative, got {value}")
-        if int(self.N) != self.N or self.N < 1:
-            raise DomainError(f"N must be an integer >= 1, got {self.N}")
-        object.__setattr__(self, "N", int(self.N))
-
-
 def _check_tol(tol: float) -> None:
     if not (0.0 < tol < 1.0):
         raise ConfigError(f"truncation tolerance must lie in (0, 1), got {tol}")
@@ -301,8 +282,10 @@ def solve_r_for_nbar(nbar: float) -> float:
 def solve_b_for_nbar(nbar: float, tol: float = 1e-8) -> float:
     """Boundary radius whose spectrum has per-mode mean photon number ``nbar``.
 
-    Uses bracketing plus bisection on the increasing map b -> mean_photon;
-    the mean grows like b^2/2, which seeds the bracket.
+    Uses bracketing plus bisection on the increasing map b -> mean_photon.
+    The mean of the untruncated spectrum is exactly b^2/2 (with X ~ Poisson(b^2),
+    sum_n n f(n, b) = sum_n n P(X > n) / b^2 = E[X(X-1)/2] / b^2 = b^2/2), so
+    sqrt(2 nbar) seeds the bracket.
     """
     if not math.isfinite(nbar) or nbar <= 0.0:
         raise DomainError(f"nbar must be positive, got {nbar}")

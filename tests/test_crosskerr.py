@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gmeslab import (
     DegenerateInputError,
@@ -21,6 +24,38 @@ from gmeslab import (
 
 def overlap(v, w):
     return complex(np.vdot(v.amps, w.amps))
+
+
+def loewdin_reference(alpha, d, cutoff):
+    """Overlap of the cross-Kerr output with the target, built on the two-mode Fock grid."""
+    base = coherent_fock(alpha, cutoff)
+    output = cross_kerr_apply(two_mode_product(base, base), d)
+    number_basis = []
+    for k in range(d):
+        component, norm = pseudo_number_component(base, d, k)
+        number_basis.append(component.amps / norm)
+    rotations = np.exp(2j * np.pi * np.arange(d) / d)
+    phases = np.stack([coherent_fock(alpha * rot, cutoff).amps for rot in rotations])
+    eigvals, eigvecs = np.linalg.eigh(np.conjugate(phases) @ phases.T)
+    inv_sqrt = (eigvecs / np.sqrt(eigvals)) @ np.conjugate(eigvecs.T)
+    phase_basis = inv_sqrt.T @ phases
+    target = np.einsum("ki,kj->ij", np.stack(number_basis), phase_basis) / math.sqrt(d)
+    return abs(complex(np.vdot(target, output.amps)))
+
+
+def closed_form_oracle(alpha, d, cutoff):
+    """(sum_k n_k)^2 / d at 40 digits, n_k^2 summed term by term over n = k mod d."""
+    with mpmath.workdps(40):
+        a2 = mpmath.mpf(alpha) ** 2
+        norms = [
+            mpmath.sqrt(
+                mpmath.fsum(
+                    mpmath.exp(-a2) * a2**n / mpmath.factorial(n) for n in range(k, cutoff + 1, d)
+                )
+            )
+            for k in range(d)
+        ]
+        return float(mpmath.fsum(norms) ** 2 / d)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +223,52 @@ def test_kerr_fidelity_small_alpha_visibly_below_one():
 
 def test_kerr_fidelity_bounds_and_guards():
     assert 0.0 <= kerr_mes_fidelity(0.5, 2) <= 1.0
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(DegenerateInputError, match="negligible weight"):
         kerr_mes_fidelity(1e-8, 3)
     with pytest.raises(DomainError):
         kerr_mes_fidelity(1.0, 0)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_kerr_fidelity_matches_loewdin_reference(d):
+    for alpha in np.linspace(0.5, 9.0, 18):
+        cutoff = default_cutoff(alpha)
+        got = kerr_mes_fidelity(alpha, d, cutoff)
+        assert got == pytest.approx(loewdin_reference(alpha, d, cutoff), abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha,d", [(0.27295447924020017, 8), (0.18077686769634305, 7)])
+def test_kerr_fidelity_mpmath_oracle(alpha, d):
+    # small alpha, large d: the last pseudo-number weights are near the Gram
+    # floor, where a numerical orthonormalization loses digits
+    want = closed_form_oracle(alpha, d, default_cutoff(alpha))
+    assert abs(kerr_mes_fidelity(alpha, d) - want) <= 1e-15
+
+
+@pytest.mark.parametrize("alpha,d", [(6.0, 4), (4.0, 3)])
+def test_kerr_fidelity_never_exceeds_one(alpha, d):
+    value = kerr_mes_fidelity(alpha, d)
+    assert value <= 1.0
+    assert value == pytest.approx(1.0, abs=1e-12)
+
+
+def test_kerr_fidelity_gram_floor():
+    # alpha = 1e-3: every n_k is above 1e-12, but the smallest Gram eigenvalue
+    # d n_2^2 = 1.5e-12 is below the floor 1e-12 * d n_0^2
+    with pytest.raises(DegenerateInputError, match="numerically dependent"):
+        kerr_mes_fidelity(1e-3, 3)
+
+
+@given(st.floats(0.05, 9.5), st.integers(1, 8))
+@example(0.05, 8)  # floor holds: n_7^2 is about 1e-22
+@example(1.0, 3)
+def test_kerr_fidelity_property(alpha, d):
+    # the default cutoff covers 2 alpha^2 on this range, so no TruncationError;
+    # DegenerateInputError is due exactly when the analytic floor holds
+    base = coherent_fock(alpha)
+    weights = np.array([pseudo_number_component(base, d, k)[1] ** 2 for k in range(d)])
+    if weights.min() < 1e-24 or weights.min() < 1e-12 * weights.max():
+        with pytest.raises(DegenerateInputError):
+            kerr_mes_fidelity(alpha, d)
+    else:
+        assert 0.0 <= kerr_mes_fidelity(alpha, d) <= 1.0

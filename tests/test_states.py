@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gmeslab import (
     ConfigError,
@@ -284,11 +286,16 @@ def test_solve_b_tiny_nbar():
     assert gmes_spectrum(b).coeffs[0] > 0.999999
 
 
+@given(st.floats(1e-4, 50.0))
+def test_solve_b_mean_photon_property(nbar):
+    assert abs(mean_photon(gmes_spectrum(solve_b_for_nbar(nbar))) - nbar) <= 1e-8
+
+
 def test_solve_b_errors():
-    with pytest.raises(DomainError):
-        solve_b_for_nbar(0.0)
-    with pytest.raises(DomainError):
-        solve_b_for_nbar(-1.0)
+    # at 1e308, 2 nbar overflows to inf
+    for nbar in [0.0, -1.0, math.inf, math.nan, 1e308]:
+        with pytest.raises(DomainError):
+            solve_b_for_nbar(nbar)
 
 
 # ---------------------------------------------------------------------------
