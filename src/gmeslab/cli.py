@@ -57,22 +57,14 @@ _FIG2_DEFAULTS = {
 class SweepConfig:
     """Validated sweep description shared by the figure commands."""
 
-    family: str
-    variable: str
     start: float
     stop: float
     steps: int
     spacing: str
     tol: float = DEFAULT_TOL
     cap: int = MAX_CUTOFF
-    seed: int = 0
-    out: str | None = None
 
     def __post_init__(self):
-        if self.family not in ("tmsv", "gmes", "both"):
-            raise ConfigError(f"unknown state family {self.family!r}")
-        if self.variable not in ("parameter", "nbar", "dimension"):
-            raise ConfigError(f"unknown sweep variable {self.variable!r}")
         if self.spacing not in ("linear", "log"):
             raise ConfigError(f"spacing must be linear or log, got {self.spacing!r}")
         if not (self.start < self.stop):
@@ -177,16 +169,12 @@ def cmd_fidelity(args) -> int:
 
 def cmd_fig1(args) -> int:
     cfg = SweepConfig(
-        family="both",
-        variable="nbar",
         start=args.start,
         stop=args.stop,
         steps=args.steps,
         spacing=args.spacing,
         tol=args.tol,
         cap=args.cap,
-        seed=args.seed,
-        out=args.out,
     )
     rows = []
     for nbar in cfg.grid():
@@ -198,7 +186,7 @@ def cmd_fig1(args) -> int:
         bell_gmes = bell_max_analytic(qutrit_truncate(gmes_spectrum(b, cfg.tol, cfg.cap))).value
         bell_tmsv = bell_max_analytic(qutrit_truncate(tmsv_spectrum(r, cfg.tol, cfg.cap))).value
         rows.append((nbar, bell_gmes, bell_tmsv))
-    _emit(("nbar", "bell_gmes", "bell_tmsv"), rows, cfg.out)
+    _emit(("nbar", "bell_gmes", "bell_tmsv"), rows, args.out)
     return 0
 
 
@@ -211,6 +199,13 @@ def _tmsv_leading(r: float, tol: float, cap: int, needed: int):
         return tmsv_partial_spectrum(r, needed)
 
 
+def _mes_overlaps(spectrum, dims) -> list:
+    # fidelity with MES_N is sum_{n<N} c_n / sqrt(N): one prefix sum serves
+    # every N, so no N-entry target vector is built.
+    csum = np.cumsum(spectrum.coeffs)
+    return [min(1.0, float(csum[min(dim, csum.size) - 1]) / math.sqrt(dim)) for dim in dims]
+
+
 def cmd_fig2(args) -> int:
     if args.variant is None:
         raise DomainError("fig2 requires --variant a, b, c or d")
@@ -220,22 +215,10 @@ def cmd_fig2(args) -> int:
     steps = defaults["steps"] if args.steps is None else args.steps
     spacing = defaults["spacing"] if args.spacing is None else args.spacing
     family = "gmes" if args.variant in ("a", "c") else "tmsv"
-    cfg = SweepConfig(
-        family=family,
-        variable="parameter" if args.variant in ("a", "b") else "dimension",
-        start=start,
-        stop=stop,
-        steps=steps,
-        spacing=spacing,
-        tol=args.tol,
-        cap=args.cap,
-        seed=args.seed,
-        out=args.out,
-    )
+    cfg = SweepConfig(start=start, stop=stop, steps=steps, spacing=spacing, tol=args.tol, cap=args.cap)
 
     if args.variant in ("a", "b"):
         dims = args.dims
-        targets = [mes_spectrum(dim) for dim in dims]
         use_nbar = args.x == "nbar"
         rows = []
         for value in cfg.grid():
@@ -245,18 +228,17 @@ def cmd_fig2(args) -> int:
             else:
                 spectrum = _tmsv_leading(value, cfg.tol, cfg.cap, max(dims))
                 x = math.sinh(value) ** 2 if use_nbar else value
-            rows.append((x, *[fidelity(target, spectrum) for target in targets]))
+            rows.append((x, *_mes_overlaps(spectrum, dims)))
         xname = "nbar" if use_nbar else ("b" if family == "gmes" else "r")
-        _emit((xname, *[f"fid_N{dim}" for dim in dims]), rows, cfg.out)
+        _emit((xname, *[f"fid_N{dim}" for dim in dims]), rows, args.out)
         return 0
 
+    dims = [int(dim) for dim in cfg.integer_grid()]
     if args.variant == "c":
         spectrum = gmes_spectrum(args.b, cfg.tol, cfg.cap)
     else:
-        grid_max = int(cfg.integer_grid().max(initial=1))
-        spectrum = _tmsv_leading(args.r, cfg.tol, cfg.cap, grid_max)
-    rows = [(int(dim), fidelity(mes_spectrum(int(dim)), spectrum)) for dim in cfg.integer_grid()]
-    _emit(("N", "fidelity"), rows, cfg.out)
+        spectrum = _tmsv_leading(args.r, cfg.tol, cfg.cap, max(dims, default=1))
+    _emit(("N", "fidelity"), list(zip(dims, _mes_overlaps(spectrum, dims))), args.out)
     return 0
 
 
@@ -389,7 +371,8 @@ def _build_parser():
     return parser, subparsers
 
 
-def _load_config(path: str, subparser: argparse.ArgumentParser) -> dict:
+def _load_config(path: str, subparser: argparse.ArgumentParser) -> list:
+    """Turn a flat key=value file into argv tokens for ``subparser``'s flags."""
     actions = {}
     for action in subparser._actions:
         for option in action.option_strings:
@@ -400,7 +383,7 @@ def _load_config(path: str, subparser: argparse.ArgumentParser) -> dict:
             lines = handle.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    overrides = {}
+    tokens = []
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -412,35 +395,24 @@ def _load_config(path: str, subparser: argparse.ArgumentParser) -> dict:
         action = actions.get(key)
         if action is None or key in ("config", "help"):
             raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
-        overrides[action.dest] = _convert_config_value(action, value, f"{path}:{lineno}")
-    return overrides
-
-
-def _convert_config_value(action: argparse.Action, value: str, where: str):
-    cast = action.type if action.type is not None else str
-    try:
         if action.nargs is None:
-            converted = cast(value)
+            tokens.append(f"--{key}={value}")
         else:
-            parts = value.replace(",", " ").split()
-            if isinstance(action.nargs, int) and len(parts) != action.nargs:
-                raise ValueError(f"expected {action.nargs} values")
-            converted = [cast(part) for part in parts]
-    except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
-        raise ConfigError(f"{where}: invalid value {value!r} for {action.dest}: {exc}") from exc
-    if action.choices is not None and converted not in action.choices:
-        raise ConfigError(f"{where}: {value!r} is not one of {sorted(action.choices)}")
-    return converted
+            tokens += [f"--{key}", *value.replace(",", " ").split()]
+    return tokens
 
 
 def main(argv=None) -> int:
     parser, subparsers = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        known, _ = parser.parse_known_args(argv)
-        if getattr(known, "config", None) and known.command:
-            subparsers[known.command].set_defaults(**_load_config(known.config, subparsers[known.command]))
         args = parser.parse_args(argv)
+        if args.command is not None and args.config:
+            # config values go right after the subcommand, so explicit flags,
+            # parsed later, still win
+            at = argv.index(args.command) + 1
+            config_argv = _load_config(args.config, subparsers[args.command])
+            args = parser.parse_args(argv[:at] + config_argv + argv[at:])
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     except ConfigError as exc:

@@ -29,10 +29,6 @@ MAX_CUTOFF = 200_000
 # Default squared-norm mass allowed beyond the cutoff.
 DEFAULT_TOL = 1e-12
 
-# exp(-lam) underflows near lam ~ 745; switch the Poisson term recurrence
-# to per-term log space safely before that.
-_LOG_SPACE_LAM = 700.0
-
 # Slack for floating-point checks of sum(c_n^2) + tail_bound == 1.
 _NORM_SLACK = 1e-9
 
@@ -81,11 +77,26 @@ def _check_tol(tol: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Poisson tail primitives.  f(n, b) = P(X > n)/b^2, written out as
-# (1 - sum_{k<=n} b^{2k} e^{-b^2} / k!) / b^2; the term recurrence
-# t_{k+1} = t_k * lam/(k+1) keeps integer orders exact without special
-# functions, and the complementary sum keeps the far tail relative-accurate.
+# Poisson tail primitives.  f(n, b) = P(X > n)/b^2 with X ~ Poisson(b^2).
+# Every tail is a sum of pmf terms from one kernel, _poisson_pmf, taken in log
+# space so that no term underflows before it is negligible.  A tail that is at
+# least ~0.4 (n below the mean) is 1 minus the terms up to n; a smaller one is
+# the sum of the terms past n, so the far tail stays relative-accurate.
 # ---------------------------------------------------------------------------
+
+
+def _poisson_pmf(start: int, stop: int, lam: float) -> np.ndarray:
+    """P(X = k) for k = start..stop-1 and X ~ Poisson(lam > 0)."""
+    k = np.arange(start, stop, dtype=float)
+    return np.exp(k * math.log(lam) - lam - gammaln(k + 1.0))
+
+
+def _tail_window(lam: float) -> int:
+    # Away from the mean the pmf falls at least like exp(-j^2 / (4 lam)) over
+    # j steps while j < lam, and geometrically after that.  So the terms past
+    # a window of 40 sqrt(lam) + 60 from the kept end sum to less than 1e-150
+    # of the terms kept, for every lam, so well below 1e-18 of them.
+    return int(40.0 * math.sqrt(lam) + 60.0)
 
 
 def poisson_tail(n: int, lam: float) -> float:
@@ -96,57 +107,21 @@ def poisson_tail(n: int, lam: float) -> float:
         return 1.0
     if lam == 0.0:
         return 0.0
+    window = _tail_window(lam)
     if n + 1 <= lam:
         # CDF(n) is at most ~0.6 here, so the subtraction loses no precision.
-        return 1.0 - _poisson_cdf(n, lam)
-    return _poisson_upper_sum(n, lam)
-
-
-def _poisson_cdf(n: int, lam: float) -> float:
-    if lam <= _LOG_SPACE_LAM:
-        term = math.exp(-lam)
-        terms = [term]
-        for k in range(1, n + 1):
-            term *= lam / k
-            terms.append(term)
-    else:
-        log_lam = math.log(lam)
-        terms = [
-            math.exp(k * log_lam - lam - math.lgamma(k + 1.0)) for k in range(n + 1)
-        ]
-    return min(1.0, math.fsum(terms))
-
-
-def _poisson_upper_sum(n: int, lam: float) -> float:
-    # First tail term computed in log space; successive ratios lam/k < 1.
-    log_t = (n + 1) * math.log(lam) - lam - math.lgamma(n + 2.0)
-    term = math.exp(log_t)
-    if term == 0.0:
-        return 0.0
-    terms = [term]
-    k = n + 1
-    while True:
-        k += 1
-        term *= lam / k
-        if term < terms[0] * 1e-18 or term == 0.0:
-            break
-        terms.append(term)
-    return math.fsum(terms)
+        return 1.0 - min(1.0, float(_poisson_pmf(max(0, n + 1 - window), n + 1, lam).sum()))
+    return float(_poisson_pmf(n + 1, n + 1 + window, lam)[::-1].sum())
 
 
 def _poisson_tail_array(lam: float, nmax: int) -> np.ndarray:
     """P(X > n) for n = 0..nmax, relative-accurate in both tails."""
-    k = np.arange(nmax + 1, dtype=float)
-    log_pmf = k * math.log(lam) - lam - gammaln(k + 1.0)
-    pmf = np.exp(log_pmf)
-    cdf = np.cumsum(pmf)
+    pmf = _poisson_pmf(0, nmax + 1 + _tail_window(lam), lam)
+    cdf = np.cumsum(pmf[: nmax + 1])
     lower = 1.0 - np.minimum(cdf, 1.0)
-    # suffix[n] = sum_{n < k <= nmax} pmf[k]; add the exact mass past nmax.
-    suffix = np.zeros(nmax + 1)
-    if nmax > 0:
-        suffix[:-1] = np.cumsum(pmf[:0:-1])[::-1]
-    upper = suffix + poisson_tail(nmax, lam)
-    return np.where(cdf <= 0.5, lower, upper)
+    # above[n] = sum_{k > n} pmf[k], summed from the small end.
+    above = np.cumsum(pmf[:0:-1])[::-1][: nmax + 1]
+    return np.where(cdf <= 0.5, lower, above)
 
 
 def f_coefficient(n: int, b: float) -> float:

@@ -1,6 +1,7 @@
 """Command-line interface: CSV contracts, config files and exit codes."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -199,6 +200,26 @@ def test_fig2_variant_d(capsys):
     assert header == ["N", "fidelity"]
     want = fidelity(mes_spectrum(10), tmsv_spectrum(1.0))
     assert float(rows[0][1]) == pytest.approx(want, rel=1e-12)
+
+
+def test_fig2_overlap_memory(capsys):
+    # the overlap with MES_N needs O(1) memory, not an N-entry target vector
+    tracemalloc.start()
+    try:
+        code, out, _ = run(
+            capsys, "fig2", "--variant", "c", "--start", "9999999", "--stop", "10000000",
+            "--steps", "2",
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    rows = rows_of(out)[1]
+    assert [r[0] for r in rows] == ["9999999", "10000000"]
+    # N exceeds the cutoff, so the overlap is sum_n c_n / sqrt(N)
+    want = float(np.sum(gmes_spectrum(15.0).coeffs)) / math.sqrt(1e7)
+    assert float(rows[1][1]) == pytest.approx(want, rel=1e-11)
+    assert peak < 8_000_000
 
 
 def test_fig2_usage_errors(capsys):

@@ -1,12 +1,14 @@
 """Spectrum constructors, the Poisson-tail kernel and the mean-photon solvers."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.special import pdtrc
 
 from gmeslab import (
     ConfigError,
@@ -48,7 +50,7 @@ def tail_oracle(n, lam):
         (100, 225.0, 1e-12),
         (300, 225.0, 1e-12),
         (224, 225.0, 1e-12),  # right at the mean
-        (600, 800.0, 1e-12),  # lam > 700 exercises the log-space branch
+        (600, 800.0, 1e-12),  # lam > 745: exp(-lam) alone underflows
         (900, 800.0, 1e-12),
         # |log pmf| ~ 1.3e4 here, so lgamma rounding alone costs ~ 3e-12
         (2000, 800.0, 2e-11),
@@ -60,10 +62,47 @@ def test_poisson_tail_matches_mpmath(n, lam, rel):
     assert got == pytest.approx(want, rel=rel, abs=1e-300)
 
 
+LAM_398 = 398.0**2
+
+
+@given(st.floats(0.0, 2e5), st.floats(-45.0, 45.0))
+@example(LAM_398, -3.0)
+@example(LAM_398, -0.5)
+@example(LAM_398, 0.5)
+@example(LAM_398, 3.0)
+@example(198991.34664984912, 31.11)  # n = 212869, worst seen: 7.5e-10
+def test_poisson_tail_matches_pdtrc(lam, z):
+    # n = lam + z sqrt(lam) keeps every draw within 45 standard deviations of
+    # the mean, where the tail is not trivially 0 or 1
+    n = max(0, int(lam + z * math.sqrt(lam)))
+    # exp(k log lam - lam - gammaln(k + 1)) cancels terms of size ~ n log n,
+    # about 2.6e6 at the top of this range, so each pmf term carries a few
+    # eps * 2.6e6 of relative rounding; 2e-9 bounds that with margin.
+    want = pdtrc(n, lam)
+    got = poisson_tail(n, lam)
+    if want > 1e-290:
+        assert abs(got - want) <= 2e-9 * want
+    else:
+        assert 0.0 <= got <= 1e-280
+
+
+def test_poisson_tail_below_mean_memory():
+    # the sum below the mean covers an O(sqrt(lam)) window, not all n + 1 terms
+    lam = LAM_398
+    tracemalloc.start()
+    try:
+        poisson_tail(int(lam - 2.0 * math.sqrt(lam)), lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
 def test_poisson_tail_edges():
     assert poisson_tail(0, 0.0) == 0.0
     assert poisson_tail(7, 0.0) == 0.0
     assert poisson_tail(-1, 2.0) == 1.0  # P(X > -1) is certain
+    assert poisson_tail(10**6, 2e5) == 0.0  # far below the smallest double
     tails = [poisson_tail(n, 4.0) for n in range(40)]
     assert all(b <= a for a, b in zip(tails, tails[1:]))
     assert 0.0 <= tails[-1] <= tails[0] <= 1.0
