@@ -34,14 +34,17 @@ from .states import (
     DEFAULT_TOL,
     MAX_CUTOFF,
     gmes_spectrum,
+    mes_overlaps,
     mes_spectrum,
     solve_b_for_nbar,
     solve_r_for_nbar,
-    tmsv_partial_spectrum,
     tmsv_spectrum,
 )
 
 _GAP_LIMIT = 1e-3
+
+# Largest sweep; more steps than this is taken for a typo, not a request.
+_MAX_STEPS = 1_000_000
 
 _FIG2_DEFAULTS = {
     "a": {"start": 0.01, "stop": 30.0, "steps": 300, "spacing": "linear"},
@@ -61,20 +64,14 @@ class SweepConfig:
     stop: float
     steps: int
     spacing: str
-    tol: float = DEFAULT_TOL
-    cap: int = MAX_CUTOFF
 
     def __post_init__(self):
         if self.spacing not in ("linear", "log"):
             raise ConfigError(f"spacing must be linear or log, got {self.spacing!r}")
         if not (self.start < self.stop):
             raise ConfigError(f"sweep needs start < stop, got [{self.start}, {self.stop}]")
-        if self.steps < 2:
-            raise ConfigError(f"sweep needs at least 2 steps, got {self.steps}")
-        if not (0.0 < self.tol < 1.0):
-            raise ConfigError(f"tol must lie in (0, 1), got {self.tol}")
-        if self.cap < 1:
-            raise ConfigError(f"cutoff cap must be positive, got {self.cap}")
+        if not (2 <= self.steps <= _MAX_STEPS):
+            raise ConfigError(f"sweep needs 2 to {_MAX_STEPS} steps, got {self.steps}")
 
     def grid(self) -> np.ndarray:
         if self.spacing == "log":
@@ -114,7 +111,8 @@ def _emit(header, rows, out: str | None) -> None:
         _write_csv(handle, header, rows)
 
 
-def _parse_state_spec(spec: str, tol: float, cap: int):
+def _parse_state_spec(spec: str):
+    """``family:key=value`` as ``(family, value)``, with an int value for mes."""
     family, sep, rest = spec.partition(":")
     family = family.strip()
     usage = "state spec must look like tmsv:r=1.0, gmes:b=15 or mes:N=200"
@@ -130,52 +128,48 @@ def _parse_state_spec(spec: str, tol: float, cap: int):
     if set(fields) != {expected}:
         raise DomainError(f"family {family} takes exactly the key {expected!r}, got {sorted(fields)}")
     try:
-        if family == "mes":
-            return mes_spectrum(int(fields["N"]))
-        value = float(fields[expected])
+        return family, (int if family == "mes" else float)(fields[expected])
     except ValueError as exc:
         raise DomainError(f"bad numeric value in state spec {spec!r}") from exc
+
+
+def _spectrum(family: str, value, tol: float, cap: int):
     if family == "tmsv":
         return tmsv_spectrum(value, tol, cap)
-    return gmes_spectrum(value, tol, cap)
+    if family == "gmes":
+        return gmes_spectrum(value, tol, cap)
+    if value > cap:
+        raise TruncationError(f"mes dimension {value} exceeds the hard cap {cap}")
+    return mes_spectrum(value)
 
 
 def cmd_spectrum(args) -> int:
     if args.family is None:
         raise DomainError("spectrum requires --family tmsv, gmes or mes")
-    if args.family == "tmsv":
-        if args.r is None:
-            raise DomainError("family tmsv requires --r")
-        spectrum = tmsv_spectrum(args.r, args.tol, args.cap)
-    elif args.family == "gmes":
-        if args.b is None:
-            raise DomainError("family gmes requires --b")
-        spectrum = gmes_spectrum(args.b, args.tol, args.cap)
-    else:
-        if args.N is None:
-            raise DomainError("family mes requires --N")
-        spectrum = mes_spectrum(args.N)
+    key = {"tmsv": "r", "gmes": "b", "mes": "N"}[args.family]
+    value = getattr(args, key)
+    if value is None:
+        raise DomainError(f"family {args.family} requires --{key}")
+    spectrum = _spectrum(args.family, value, args.tol, args.cap)
     _emit(("n", "coeff"), list(enumerate(spectrum.coeffs)), args.out)
     return 0
 
 
 def cmd_fidelity(args) -> int:
-    first = _parse_state_spec(args.states[0], args.tol, args.cap)
-    second = _parse_state_spec(args.states[1], args.tol, args.cap)
-    value = fidelity(first, second)
+    # sorted so that a mes spec comes second: an overlap with MES_N is exact
+    # from mes_overlaps, and only two truncated spectra need tol
+    specs = sorted((_parse_state_spec(spec) for spec in args.states), key=lambda s: s[0] == "mes")
+    (family, param), (target, dim) = specs
+    if target == "mes":
+        value = mes_overlaps(family, param, [dim], args.cap)[0]
+    else:
+        value = fidelity(*(_spectrum(*spec, args.tol, args.cap) for spec in specs))
     _emit(("state_a", "state_b", "fidelity"), [(args.states[0], args.states[1], value)], args.out)
     return 0
 
 
 def cmd_fig1(args) -> int:
-    cfg = SweepConfig(
-        start=args.start,
-        stop=args.stop,
-        steps=args.steps,
-        spacing=args.spacing,
-        tol=args.tol,
-        cap=args.cap,
-    )
+    cfg = SweepConfig(start=args.start, stop=args.stop, steps=args.steps, spacing=args.spacing)
     rows = []
     for nbar in cfg.grid():
         try:
@@ -183,27 +177,11 @@ def cmd_fig1(args) -> int:
             b = solve_b_for_nbar(nbar)
         except SolverError as exc:
             raise SolverError(f"fig1 sweep failed at nbar={_fmt(nbar)}: {exc}") from exc
-        bell_gmes = bell_max_analytic(qutrit_truncate(gmes_spectrum(b, cfg.tol, cfg.cap))).value
-        bell_tmsv = bell_max_analytic(qutrit_truncate(tmsv_spectrum(r, cfg.tol, cfg.cap))).value
+        bell_gmes = bell_max_analytic(qutrit_truncate(gmes_spectrum(b, args.tol, args.cap))).value
+        bell_tmsv = bell_max_analytic(qutrit_truncate(tmsv_spectrum(r, args.tol, args.cap))).value
         rows.append((nbar, bell_gmes, bell_tmsv))
     _emit(("nbar", "bell_gmes", "bell_tmsv"), rows, args.out)
     return 0
-
-
-def _tmsv_leading(r: float, tol: float, cap: int, needed: int):
-    # squeezing too strong for the cap: keep the leading coefficients, which
-    # is exact for fidelities against targets of dimension <= needed
-    try:
-        return tmsv_spectrum(r, tol, cap)
-    except TruncationError:
-        return tmsv_partial_spectrum(r, needed)
-
-
-def _mes_overlaps(spectrum, dims) -> list:
-    # fidelity with MES_N is sum_{n<N} c_n / sqrt(N): one prefix sum serves
-    # every N, so no N-entry target vector is built.
-    csum = np.cumsum(spectrum.coeffs)
-    return [min(1.0, float(csum[min(dim, csum.size) - 1]) / math.sqrt(dim)) for dim in dims]
 
 
 def cmd_fig2(args) -> int:
@@ -215,30 +193,24 @@ def cmd_fig2(args) -> int:
     steps = defaults["steps"] if args.steps is None else args.steps
     spacing = defaults["spacing"] if args.spacing is None else args.spacing
     family = "gmes" if args.variant in ("a", "c") else "tmsv"
-    cfg = SweepConfig(start=start, stop=stop, steps=steps, spacing=spacing, tol=args.tol, cap=args.cap)
+    cfg = SweepConfig(start=start, stop=stop, steps=steps, spacing=spacing)
 
     if args.variant in ("a", "b"):
         dims = args.dims
         use_nbar = args.x == "nbar"
         rows = []
         for value in cfg.grid():
-            if family == "gmes":
-                spectrum = gmes_spectrum(value, cfg.tol, cfg.cap)
-                x = value * value / 2.0 if use_nbar else value
-            else:
-                spectrum = _tmsv_leading(value, cfg.tol, cfg.cap, max(dims))
-                x = math.sinh(value) ** 2 if use_nbar else value
-            rows.append((x, *_mes_overlaps(spectrum, dims)))
+            x = value
+            if use_nbar:
+                x = value * value / 2.0 if family == "gmes" else math.sinh(value) ** 2
+            rows.append((x, *mes_overlaps(family, value, dims, args.cap)))
         xname = "nbar" if use_nbar else ("b" if family == "gmes" else "r")
         _emit((xname, *[f"fid_N{dim}" for dim in dims]), rows, args.out)
         return 0
 
     dims = [int(dim) for dim in cfg.integer_grid()]
-    if args.variant == "c":
-        spectrum = gmes_spectrum(args.b, cfg.tol, cfg.cap)
-    else:
-        spectrum = _tmsv_leading(args.r, cfg.tol, cfg.cap, max(dims, default=1))
-    _emit(("N", "fidelity"), list(zip(dims, _mes_overlaps(spectrum, dims))), args.out)
+    value = args.b if args.variant == "c" else args.r
+    _emit(("N", "fidelity"), list(zip(dims, mes_overlaps(family, value, dims, args.cap))), args.out)
     return 0
 
 
@@ -319,32 +291,34 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", metavar="command")
     subparsers = {}
 
-    def add_command(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add_command(name: str, help_text: str, *shared: str) -> argparse.ArgumentParser:
+        # each command registers only the shared options it reads
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="spectrum truncation tolerance")
-        p.add_argument("--cap", type=int, default=MAX_CUTOFF, help="hard cutoff cap for adaptive spectra")
-        p.add_argument("--seed", type=int, default=0, help="base seed for stochastic searches")
+        if "tol" in shared:
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="spectrum truncation tolerance")
+        if "cap" in shared:
+            p.add_argument("--cap", type=int, default=MAX_CUTOFF, help="hard cutoff cap for adaptive spectra")
         p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
         p.add_argument("--config", default=None, help="flat key=value file mirroring flags; flags win")
         subparsers[name] = p
         return p
 
-    p = add_command("spectrum", "emit one Schmidt spectrum as CSV rows n,coeff")
+    p = add_command("spectrum", "emit one Schmidt spectrum as CSV rows n,coeff", "tol", "cap")
     p.add_argument("--family", choices=("tmsv", "gmes", "mes"), default=None)
     p.add_argument("--r", type=float, default=None, help="squeezing parameter (tmsv)")
     p.add_argument("--b", type=float, default=None, help="radial cutoff parameter (gmes)")
     p.add_argument("--N", type=int, default=None, help="dimension (mes)")
 
-    p = add_command("fidelity", "fidelity between two states given as family:key=value specs")
+    p = add_command("fidelity", "fidelity between two states given as family:key=value specs", "tol", "cap")
     p.add_argument("states", nargs=2, metavar="STATE", help="e.g. tmsv:r=1.0 gmes:b=15 mes:N=200")
 
-    p = add_command("fig1", "Bell ceiling of the qutrit truncation vs mean photon number")
+    p = add_command("fig1", "Bell ceiling of the qutrit truncation vs mean photon number", "tol", "cap")
     p.add_argument("--start", type=float, default=0.01, help="first per-mode nbar")
     p.add_argument("--stop", type=float, default=50.0, help="last per-mode nbar")
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--spacing", choices=("linear", "log"), default="log")
 
-    p = add_command("fig2", "fidelity sweeps against N-dimensional maximally entangled targets")
+    p = add_command("fig2", "fidelity sweeps against N-dimensional maximally entangled targets", "cap")
     p.add_argument("--variant", choices=("a", "b", "c", "d"), default=None,
                    help="a: gmes vs b, b: tmsv vs r, c: gmes(b fixed) vs N, d: tmsv(r fixed) vs N")
     p.add_argument("--start", type=float, default=None)
@@ -362,6 +336,7 @@ def _build_parser():
     p.add_argument("--a", type=float, nargs=3, default=None, metavar=("A0", "A1", "A2"),
                    help="qutrit coefficients, normalized internally")
     p.add_argument("--restarts", type=int, default=32)
+    p.add_argument("--seed", type=int, default=0, help="base seed for stochastic searches")
 
     p = add_command("kerr", "cross-Kerr fidelity report with component norms and Gram entries")
     p.add_argument("--alpha", type=float, default=None, help="coherent amplitude")

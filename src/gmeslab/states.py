@@ -111,6 +111,10 @@ def poisson_tail(n: int, lam: float) -> float:
     if n + 1 <= lam:
         # CDF(n) is at most ~0.6 here, so the subtraction loses no precision.
         return 1.0 - min(1.0, float(_poisson_pmf(max(0, n + 1 - window), n + 1, lam).sum()))
+    if (n + 1) * math.log(lam) - lam - math.lgamma(n + 2) < -746.0:
+        # exp underflows to 0 below -745.14, and past the mean every later term
+        # is smaller than this first one, so the sum is exactly 0.0
+        return 0.0
     return float(_poisson_pmf(n + 1, n + 1 + window, lam)[::-1].sum())
 
 
@@ -167,10 +171,11 @@ def bounded_f_profile(b: float, tol: float = DEFAULT_TOL, cap: int = MAX_CUTOFF)
 
 
 def _log_tanh(r: float) -> float:
-    # log(tanh r) via log1p keeps full relative accuracy for large r,
-    # where 1 - tanh(r) ~ 2 exp(-2r) is tiny.
+    # log(tanh r) = log(1 - e) - log1p(e) with e = exp(-2r).  log1p(-e) keeps
+    # full relative accuracy for large r, where 1 - tanh(r) ~ 2e is tiny;
+    # for small r, -expm1(-2r) gives 1 - e without cancellation.
     e = math.exp(-2.0 * r)
-    return math.log1p(-e) - math.log1p(e)
+    return (math.log1p(-e) if e < 0.5 else math.log(-math.expm1(-2.0 * r))) - math.log1p(e)
 
 
 def _log_cosh(r: float) -> float:
@@ -190,40 +195,16 @@ def tmsv_spectrum(r: float, tol: float = DEFAULT_TOL, cap: int = MAX_CUTOFF) -> 
     if r == 0.0:
         return SchmidtSpectrum(np.array([1.0]), 0.0, "tmsv")
     log_t = _log_tanh(r)
+    # a tail t^(2(cap+1)) above tol puts the cutoff past the cap; checked
+    # first, as log_t rounds to 0 for r > 372
+    if math.exp(2.0 * (cap + 1) * log_t) > tol:
+        raise TruncationError(f"cutoff for r={r} at tol={tol} exceeds the hard cap {cap}")
     cut = max(0, math.ceil(math.log(tol) / (2.0 * log_t)) - 1)
     while math.exp(2.0 * (cut + 1) * log_t) > tol:
         cut += 1
-    if cut > cap:
-        raise TruncationError(
-            f"cutoff {cut} for r={r} at tol={tol} exceeds the hard cap {cap}"
-        )
     n = np.arange(cut + 1, dtype=float)
     coeffs = np.exp(n * log_t - _log_cosh(r))
     tail = math.exp(2.0 * (cut + 1) * log_t)
-    return SchmidtSpectrum(coeffs, tail, "tmsv")
-
-
-def tmsv_partial_spectrum(r: float, n_terms: int) -> SchmidtSpectrum:
-    """First ``n_terms`` two-mode-squeezed-vacuum coefficients with exact tail.
-
-    For large r the full spectrum at the default tolerance would blow past the
-    hard cutoff cap, but overlaps with an N-dimensional maximally entangled
-    state only read the first N coefficients, so a partial spectrum with the
-    exact geometric remainder tanh(r)^(2 n_terms) is all a sweep needs.
-    """
-    if not math.isfinite(r) or r < 0.0:
-        raise DomainError(f"squeezing parameter r must be nonnegative, got {r}")
-    if int(n_terms) != n_terms or n_terms < 1:
-        raise DomainError(f"n_terms must be an integer >= 1, got {n_terms}")
-    n_terms = int(n_terms)
-    if r == 0.0:
-        coeffs = np.zeros(n_terms)
-        coeffs[0] = 1.0
-        return SchmidtSpectrum(coeffs, 0.0, "tmsv")
-    log_t = _log_tanh(r)
-    n = np.arange(n_terms, dtype=float)
-    coeffs = np.exp(n * log_t - _log_cosh(r))
-    tail = math.exp(2.0 * n_terms * log_t)
     return SchmidtSpectrum(coeffs, tail, "tmsv")
 
 
@@ -239,6 +220,48 @@ def mes_spectrum(N: int) -> SchmidtSpectrum:
         raise DomainError(f"N must be an integer >= 1, got {N}")
     N = int(N)
     return SchmidtSpectrum(np.full(N, 1.0 / math.sqrt(N)), 0.0, "mes")
+
+
+def mes_overlaps(family: str, value: float, dims, cap: int = MAX_CUTOFF) -> list:
+    """Overlap sum_{n<N} c_n / sqrt(N), clamped to 1, of MES_N and an untruncated state.
+
+    One value per N in ``dims``, exact for every N (a truncated spectrum would
+    lose up to sqrt(tol) of it), for ``family``:
+
+    * "tmsv", value r: (1 - t^N) / ((1 - t) cosh(r) sqrt(N)) with t = tanh(r);
+    * "gmes", value b: a prefix sum of sqrt(f(n, b)) over n <= b^2 + 40 b + 60,
+      past which the terms add under 1e-75 of it (``TruncationError`` if that n
+      exceeds ``cap``);
+    * "mes", value M: min(N, M) / sqrt(N M).
+    """
+    if any(int(dim) != dim or dim < 1 for dim in dims):
+        raise DomainError(f"target dimensions must be integers >= 1, got {list(dims)}")
+    dims = [int(dim) for dim in dims]
+    if family == "mes":
+        if int(value) != value or value < 1:
+            raise DomainError(f"N must be an integer >= 1, got {value}")
+        overlaps = [min(dim, value) / math.sqrt(dim * int(value)) for dim in dims]
+    elif family == "tmsv":
+        if not math.isfinite(value) or value < 0.0:
+            raise DomainError(f"squeezing parameter r must be nonnegative, got {value}")
+        log_t = _log_tanh(value) if value > 0.0 else -math.inf
+        scale = math.exp(-_log_cosh(value))
+        # (1 - t^N) / (1 - t) through expm1 stays accurate as t -> 1; a t that
+        # rounds to 1 leaves N equal terms
+        sums = [math.expm1(dim * log_t) / math.expm1(log_t) if log_t < 0.0 else dim for dim in dims]
+        overlaps = [total * scale / math.sqrt(dim) for total, dim in zip(sums, dims)]
+    elif family == "gmes":
+        if not math.isfinite(value) or value <= 0.0:
+            raise DomainError(f"boundary radius b must be positive, got {value}")
+        lam = value * value
+        nmax = int(lam + _tail_window(lam))
+        if nmax > cap:
+            raise TruncationError(f"overlap sum for b={value} needs {nmax} terms, past the hard cap {cap}")
+        csum = np.cumsum(np.sqrt(_poisson_tail_array(lam, nmax) / lam))
+        overlaps = [float(csum[min(dim, csum.size) - 1]) / math.sqrt(dim) for dim in dims]
+    else:
+        raise DomainError(f"unknown family {family!r}, expected tmsv, gmes or mes")
+    return [min(1.0, overlap) for overlap in overlaps]
 
 
 def mean_photon(s: SchmidtSpectrum) -> float:

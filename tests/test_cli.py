@@ -1,11 +1,13 @@
 """Command-line interface: CSV contracts, config files and exit codes."""
 
+import argparse
 import math
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.special import pdtrc
 
 import gmeslab.cli
 from gmeslab import SolverError, fidelity, gmes_spectrum, mes_spectrum, tmsv_spectrum
@@ -61,11 +63,20 @@ def test_spectrum_mes(capsys):
         ("spectrum", "--family", "nope", "--r", "1"),
         ("spectrum", "--family", "tmsv", "--r", "1", "--tol", "2"),
         ("spectrum", "--family", "gmes", "--b", "25", "--cap", "100"),
+        ("spectrum", "--family", "tmsv", "--r", "400"),
     ],
 )
 def test_spectrum_usage_errors(capsys, args):
     code, _, _ = run(capsys, *args)
     assert code == 2
+
+
+def test_spectrum_mes_above_cap(capsys):
+    # refused before any N-entry vector is allocated
+    code, _, err = run(capsys, "spectrum", "--family", "mes", "--N", str(10**15))
+    assert code == 2
+    assert "hard cap" in err
+    assert run(capsys, "spectrum", "--family", "mes", "--N", "50", "--cap", "49")[0] == 2
 
 
 def test_no_command(capsys):
@@ -87,9 +98,24 @@ def test_fidelity_command(capsys):
     assert float(rows[0][2]) == pytest.approx(want, rel=1e-12)
 
 
+def test_fidelity_mes_target_is_exact(capsys):
+    # (1 - t^N) / ((1 - t) cosh(r) sqrt(N)) at t = tanh(1), N = 1000; the
+    # spectrum truncated at tol = 1e-12 gives 0.0859595391659
+    for states in (("tmsv:r=1.0", "mes:N=1000"), ("mes:N=1000", "tmsv:r=1.0")):
+        code, out, _ = run(capsys, "fidelity", *states)
+        assert code == 0
+        assert out.splitlines()[1] == ",".join(states) + ",0.0859596190018"
+    # O(1) whatever N, also far past the spectrum cap
+    code, out, _ = run(capsys, "fidelity", "tmsv:r=1.0", f"mes:N={10**15}")
+    assert code == 0
+    assert float(rows_of(out)[1][0][2]) == pytest.approx(0.0859596190018 / math.sqrt(1e12), rel=1e-11)
+    code, out, _ = run(capsys, "fidelity", "mes:N=3", "mes:N=12")
+    assert out.splitlines()[1].endswith(",0.5")
+
+
 @pytest.mark.parametrize(
     "spec",
-    ["foo:r=1", "tmsv:b=1", "tmsv", "tmsv:r=abc", "gmes:b=1,r=2"],
+    ["foo:r=1", "tmsv:b=1", "tmsv", "tmsv:r=abc", "gmes:b=1,r=2", "mes:N=0", "mes:N=2.5"],
 )
 def test_fidelity_bad_specs(capsys, spec):
     code, _, err = run(capsys, "fidelity", spec, "mes:N=3")
@@ -134,6 +160,14 @@ def test_fig1_solver_failure_exit_code(capsys, monkeypatch):
 def test_fig1_bad_range(capsys):
     assert run(capsys, "fig1", "--start", "5", "--stop", "1", "--steps", "3")[0] == 2
     assert run(capsys, "fig1", "--start", "1", "--stop", "2", "--steps", "1")[0] == 2
+
+
+@pytest.mark.parametrize("command", [("fig1",), ("fig2", "--variant", "a"), ("fig2", "--variant", "c")])
+def test_sweep_steps_bound(capsys, command):
+    # refused by SweepConfig before any grid is allocated
+    code, _, err = run(capsys, *command, "--steps", str(10**15))
+    assert code == 2
+    assert "steps" in err
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +250,44 @@ def test_fig2_overlap_memory(capsys):
     assert code == 0
     rows = rows_of(out)[1]
     assert [r[0] for r in rows] == ["9999999", "10000000"]
-    # N exceeds the cutoff, so the overlap is sum_n c_n / sqrt(N)
-    want = float(np.sum(gmes_spectrum(15.0).coeffs)) / math.sqrt(1e7)
+    # N is far past the support, so the overlap is the untruncated sum
+    # sum_n sqrt(P(X > n) / b^2) / sqrt(N) with X ~ Poisson(b^2 = 225)
+    want = float(np.sum(np.sqrt(pdtrc(np.arange(3000), 225.0) / 225.0))) / math.sqrt(1e7)
     assert float(rows[1][1]) == pytest.approx(want, rel=1e-11)
     assert peak < 8_000_000
+
+
+@pytest.mark.parametrize(
+    "args,dim",
+    [
+        (("--variant", "d", "--r", "20", "--start", "1000000", "--stop", "2000000"), 2_000_000),
+        (("--variant", "b", "--start", "19", "--stop", "20", "--dims", "2000000"), 2_000_000),
+    ],
+)
+def test_fig2_tmsv_overlap_memory(capsys, args, dim):
+    # strong squeezing needs millions of terms per spectrum, but the
+    # geometric closed form needs O(1) memory per overlap
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "fig2", *args, "--steps", "2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # tanh(20) = 1 - 8.5e-18, so the first 2e6 terms are equal to 1e-11
+    assert float(rows_of(out)[1][-1][-1]) == pytest.approx(math.sqrt(dim) / math.cosh(20.0), rel=1e-9)
+    assert peak < 8_000_000
+
+
+def test_fig2_gmes_past_spectrum_cap(capsys):
+    # gmes_spectrum(300) raises TruncationError (fault F-trunc); the overlap
+    # window b^2 + 40 b + 60 of every b on this grid is under the cap
+    code, out, _ = run(capsys, "fig2", "--variant", "a", "--start", "299", "--stop", "301", "--steps", "3")
+    assert code == 0
+    header, rows = rows_of(out)
+    assert [row[0] for row in rows] == ["299.0", "300.0", "301.0"]
+    for row in rows:
+        assert all(0.0 < float(v) <= 1.0 for v in row[1:])
 
 
 def test_fig2_usage_errors(capsys):
@@ -286,6 +354,46 @@ def test_kerr_errors(capsys):
     assert run(capsys, "kerr", "--alpha", "1")[0] == 2  # missing --d
     assert run(capsys, "kerr", "--alpha", "0.001", "--d", "3")[0] == 2  # degenerate Gram
     assert run(capsys, "kerr", "--alpha", "4", "--d", "2", "--cutoff", "20")[0] == 2
+    assert run(capsys, "kerr", "--alpha", "4", "--d", "2", "--tol", "1e-3")[0] == 2  # kerr reads no tol
+
+
+# ---------------------------------------------------------------------------
+# registered options
+# ---------------------------------------------------------------------------
+
+# Between them, the runs of a subcommand take every branch that reads an option.
+OPTION_RUNS = [
+    ("spectrum", "--family", "tmsv", "--r", "1"),
+    ("spectrum", "--family", "gmes", "--b", "1"),
+    ("spectrum", "--family", "mes", "--N", "3"),
+    ("fidelity", "tmsv:r=1", "gmes:b=1"),
+    ("fig1", "--start", "1", "--stop", "2", "--steps", "2"),
+    ("fig2", "--variant", "a", "--steps", "2", "--x", "nbar"),
+    ("fig2", "--variant", "c", "--steps", "2"),
+    ("fig2", "--variant", "d", "--steps", "2"),
+    ("bell-oracle", "--a", "1", "1", "1", "--restarts", "1"),
+    ("kerr", "--alpha", "1", "--d", "2"),
+]
+
+
+def test_every_registered_option_is_read(tmp_path):
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    parser, subparsers = gmeslab.cli._build_parser()
+    seen = {name: set() for name in subparsers}
+    for argv in OPTION_RUNS:
+        args = parser.parse_args([*argv, "--out", str(tmp_path / "out.csv")], namespace=Recording())
+        reads.clear()
+        assert gmeslab.cli._DISPATCH[argv[0]](args) == 0
+        seen[argv[0]] |= reads
+    for name, subparser in subparsers.items():
+        dests = {action.dest for action in subparser._actions} - {"command", "config", "help"}
+        assert dests <= seen[name], f"{name} never reads {sorted(dests - seen[name])}"
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.special import pdtrc
 
+from gmeslab import states
 from gmeslab import (
     ConfigError,
     DomainError,
@@ -17,12 +18,13 @@ from gmeslab import (
     TruncationError,
     f_coefficient,
     gmes_spectrum,
+    fidelity,
     mean_photon,
+    mes_overlaps,
     mes_spectrum,
     poisson_tail,
     solve_b_for_nbar,
     solve_r_for_nbar,
-    tmsv_partial_spectrum,
     tmsv_spectrum,
 )
 
@@ -112,6 +114,36 @@ def test_poisson_tail_edges():
         poisson_tail(3, math.inf)
 
 
+def first_underflowing(lam):
+    """Least n > lam whose first tail term, P(X = n + 1), has log below -746."""
+    n = int(lam)
+    while (n + 1) * math.log(lam) - lam - math.lgamma(n + 2) >= -746.0:
+        n += 1
+    return n
+
+
+def test_poisson_tail_skips_underflowing_window(monkeypatch):
+    # every term of the window underflows, so no pmf is evaluated
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return pmf(*args)
+
+    pmf = states._poisson_pmf
+    monkeypatch.setattr(states, "_poisson_pmf", spy)
+    assert poisson_tail(2000, 156.25) == 0.0
+    assert calls == []
+    # next to the cut the early return equals the sum over the whole window
+    for lam in (156.25, 800.0, 1e4, LAM_398):
+        cut = first_underflowing(lam)
+        for n in range(cut - 2, cut + 3):
+            calls.clear()
+            got = poisson_tail(n, lam)
+            assert (calls == []) == (n >= cut)
+            assert got == float(pmf(n + 1, n + 1 + states._tail_window(lam), lam)[::-1].sum())
+
+
 # ---------------------------------------------------------------------------
 # f(n, b)
 # ---------------------------------------------------------------------------
@@ -183,6 +215,22 @@ def test_tmsv_geometric_tail_identity(r):
     assert partial >= 1.0 - 1e-12
 
 
+@pytest.mark.parametrize("r", [1e-300, 1e-17, 3e-17, 1e-10, 0.01, 0.3, 0.35, 0.4, 2.0, 7.3, 30.0])
+def test_log_tanh_matches_mpmath(r):
+    # 1 - exp(-2r) cancels for small r (it raised below r ~ 1.1e-16)
+    with mpmath.workdps(60):
+        want = float(mpmath.log(mpmath.tanh(mpmath.mpf(r))))
+    assert states._log_tanh(r) == pytest.approx(want, rel=1e-15)
+
+
+def test_tmsv_extreme_squeezing():
+    assert tmsv_spectrum(1e-17).coeffs.tolist() == [1.0]
+    assert mes_overlaps("tmsv", 1e-17, [3]) == pytest.approx([1.0 / math.sqrt(3.0)], rel=1e-15)
+    # tanh(400) rounds to 1, so the cutoff is unbounded
+    with pytest.raises(TruncationError):
+        tmsv_spectrum(400.0)
+
+
 def test_tmsv_mean_photon():
     s = tmsv_spectrum(5.0)
     assert mean_photon(s) == pytest.approx(math.sinh(5.0) ** 2, rel=1e-9)
@@ -202,15 +250,6 @@ def test_tmsv_errors():
         tmsv_spectrum(1.0, tol=1.5)
     with pytest.raises(TruncationError):
         tmsv_spectrum(3.0, cap=10)
-
-
-def test_tmsv_partial_prefix():
-    full = tmsv_spectrum(1.0)
-    part = tmsv_partial_spectrum(1.0, 5)
-    assert len(part) == 5
-    np.testing.assert_allclose(part.coeffs, full.coeffs[:5], rtol=0, atol=0)
-    norm_sq = float(np.sum(part.coeffs**2))
-    assert norm_sq + part.tail_bound == pytest.approx(1.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +325,118 @@ def test_mes_errors():
         mes_spectrum(0)
     with pytest.raises(DomainError):
         mes_spectrum(-3)
+
+
+# ---------------------------------------------------------------------------
+# Overlaps with MES_N
+# ---------------------------------------------------------------------------
+
+
+def tmsv_overlap_oracle(r, dim):
+    """sum_{n<dim} tanh(r)^n / (cosh(r) sqrt(dim)), summed term by term."""
+    with mpmath.workdps(40):
+        r = mpmath.mpf(r)
+        total = mpmath.fsum(mpmath.tanh(r) ** n for n in range(dim))
+        return float(total / (mpmath.cosh(r) * mpmath.sqrt(dim)))
+
+
+def gmes_overlap_oracle(b, dim):
+    """sum_{n<dim} sqrt(P(X > n)) / (b sqrt(dim)) with X ~ Poisson(b^2).
+
+    The pmf runs term by term far past both dim and the mean, and each tail
+    is summed from that far end, so no tail loses digits to cancellation.
+    """
+    with mpmath.workdps(40):
+        lam = mpmath.mpf(b) ** 2
+        top = dim + int(lam + 60 * math.sqrt(lam)) + 100
+        pmf = [mpmath.exp(-lam)]
+        for k in range(1, top + 1):
+            pmf.append(pmf[-1] * lam / k)
+        tails = [mpmath.mpf(0)] * top
+        tail = mpmath.mpf(0)
+        for n in range(top - 1, -1, -1):
+            tail += pmf[n + 1]
+            tails[n] = tail
+        total = mpmath.fsum(mpmath.sqrt(tails[n]) for n in range(dim))
+        return float(total / (mpmath.mpf(b) * mpmath.sqrt(dim)))
+
+
+# Where the spectra at tol = 1e-12 stop short of N, so a truncated sum is off
+# by about 1e-6 and only the untruncated one is within 1e-12.
+@pytest.mark.parametrize(
+    "family,value,dim",
+    [
+        ("tmsv", 0.5, 1000),
+        ("tmsv", 1.0, 1000),
+        ("tmsv", 2.0, 1000),
+        ("gmes", 1.0, 1000),
+        ("gmes", 5.0, 1000),
+        ("gmes", 15.0, 2000),
+    ],
+)
+def test_mes_overlaps_match_mpmath(family, value, dim):
+    oracle = tmsv_overlap_oracle if family == "tmsv" else gmes_overlap_oracle
+    [got] = mes_overlaps(family, value, [dim])
+    assert got == pytest.approx(oracle(value, dim), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "family,value,spectrum",
+    [
+        ("tmsv", 0.3, tmsv_spectrum(0.3)),
+        ("tmsv", 5.0, tmsv_spectrum(5.0)),
+        ("gmes", 0.5, gmes_spectrum(0.5)),
+        ("gmes", 15.0, gmes_spectrum(15.0)),
+        ("mes", 7, mes_spectrum(7)),
+    ],
+)
+def test_mes_overlaps_match_fidelity_within_cutoff(family, value, spectrum):
+    # below the cutoff a truncated spectrum holds every term the overlap reads
+    dims = [1, 2, 5, len(spectrum) // 2, len(spectrum)]
+    want = [fidelity(mes_spectrum(dim), spectrum) for dim in dims]
+    np.testing.assert_allclose(mes_overlaps(family, value, dims), want, rtol=1e-12)
+
+
+def test_mes_overlaps_closed_forms():
+    assert mes_overlaps("tmsv", 0.0, [1, 4, 100]) == [1.0, 0.5, 0.1]
+    assert mes_overlaps("mes", 3, [3, 12]) == [1.0, 0.5]
+    assert mes_overlaps("mes", 12, [3]) == [0.5]
+    # t = tanh(20) is 1 - 8.5e-18, so the first 2e6 terms are all but equal
+    [got] = mes_overlaps("tmsv", 20.0, [2_000_000])
+    assert got == pytest.approx(math.sqrt(2e6) / math.cosh(20.0), rel=1e-9)
+    # tanh(400) rounds to 1: N equal terms
+    [got] = mes_overlaps("tmsv", 400.0, [4])
+    assert got == pytest.approx(2.0 * math.sqrt(4.0) * math.exp(-400.0), rel=1e-12)
+    # far past the support every overlap is sum_n c_n / sqrt(N)
+    big = mes_overlaps("gmes", 15.0, [10**6, 4 * 10**6, 10**15])
+    assert big[1] == pytest.approx(big[0] / 2.0, rel=1e-15)
+    assert big[2] == pytest.approx(big[0] * 1e-3 / math.sqrt(1e3), rel=1e-15)
+
+
+def test_mes_overlaps_past_the_spectrum_cap():
+    # b = 300 and 400 raise in gmes_spectrum (fault F-trunc), but the overlap
+    # window b^2 + 40 b + 60 is under the cap
+    for b in (300.0, 400.0):
+        values = mes_overlaps("gmes", b, [1, int(b * b), 10**7])
+        assert all(0.0 < v <= 1.0 for v in values)
+    with pytest.raises(TruncationError):
+        mes_overlaps("gmes", 15.0, [5], cap=100)
+
+
+def test_mes_overlaps_errors():
+    for family, value, dims in [
+        ("tmsv", -0.1, [1]),
+        ("tmsv", math.nan, [1]),
+        ("gmes", 0.0, [1]),
+        ("gmes", math.inf, [1]),
+        ("mes", 0, [1]),
+        ("mes", 2.5, [1]),
+        ("tmsv", 1.0, [0]),
+        ("gmes", 1.0, [2.5]),
+        ("custom", 1.0, [1]),
+    ]:
+        with pytest.raises(DomainError):
+            mes_overlaps(family, value, dims)
 
 
 # ---------------------------------------------------------------------------
