@@ -1,7 +1,7 @@
 """Command-line front end: spectra, fidelities, Bell sweeps and Kerr reports as CSV.
 
-Exit codes: 0 success, 2 usage/domain/config problems, 3 sweep solver
-failures, 4 oracle-vs-formula gap above the acceptance threshold.
+Exit codes: 0 success, 2 usage/domain/config/truncation problems, 4
+oracle-vs-formula gap above the acceptance threshold.
 """
 
 from __future__ import annotations
@@ -22,22 +22,15 @@ from .crosskerr import (
     pseudo_number_component,
     pseudo_phase_gram,
 )
-from .errors import (
-    ConfigError,
-    DegenerateInputError,
-    DomainError,
-    SolverError,
-    TruncationError,
-)
-from .metrics import QutritState, bell_max_analytic, fidelity, qutrit_truncate
+from .errors import ConfigError, DegenerateInputError, DomainError, TruncationError
+from .metrics import QutritState, bell_max_analytic, fidelity
 from .states import (
     DEFAULT_TOL,
     MAX_CUTOFF,
     gmes_spectrum,
     mes_overlaps,
     mes_spectrum,
-    solve_b_for_nbar,
-    solve_r_for_nbar,
+    poisson_tail,
     tmsv_spectrum,
 )
 
@@ -80,9 +73,9 @@ class SweepConfig:
             return np.logspace(math.log10(self.start), math.log10(self.stop), self.steps)
         return np.linspace(self.start, self.stop, self.steps)
 
-    def integer_grid(self) -> np.ndarray:
-        values = np.unique(np.rint(self.grid()).astype(int))
-        return values[values >= 1]
+    def integer_grid(self) -> list:
+        # Python ints, exact for every float: an int64 cast wraps past 2^63
+        return [int(value) for value in np.unique(np.rint(self.grid())) if value >= 1]
 
 
 def _fmt(value) -> str:
@@ -168,18 +161,24 @@ def cmd_fidelity(args) -> int:
     return 0
 
 
+def _bell(a) -> float:
+    """Closed-form Bell maximum of the qutrit state with Schmidt vector along ``a``."""
+    return bell_max_analytic(QutritState(np.divide(a, math.hypot(*a)))).value
+
+
 def cmd_fig1(args) -> int:
+    # GMES: c_n = sqrt(P(X > n)/lam), X ~ Poisson(lam = b^2 = 2 nbar) since sum_n n f(n, b) = b^2/2;
+    # TMSV: c_n = t^n / cosh r, t^2 = nbar/(1 + nbar).  Renormalizing cancels 1/lam and 1/cosh r.
     cfg = SweepConfig(start=args.start, stop=args.stop, steps=args.steps, spacing=args.spacing)
     rows = []
-    for nbar in cfg.grid():
-        try:
-            r = solve_r_for_nbar(nbar)
-            b = solve_b_for_nbar(nbar)
-        except SolverError as exc:
-            raise SolverError(f"fig1 sweep failed at nbar={_fmt(nbar)}: {exc}") from exc
-        bell_gmes = bell_max_analytic(qutrit_truncate(gmes_spectrum(b, args.tol, args.cap))).value
-        bell_tmsv = bell_max_analytic(qutrit_truncate(tmsv_spectrum(r, args.tol, args.cap))).value
-        rows.append((nbar, bell_gmes, bell_tmsv))
+    for nbar in cfg.grid().tolist():
+        lam = 2.0 * nbar
+        if not (nbar >= 1e-150 and math.isfinite(lam)):
+            raise DomainError(f"fig1 needs nbar >= 1e-150, where P(X > 1) ~ 2 nbar^2 is still a normal float, "
+                              f"and 2 nbar finite, got nbar={_fmt(nbar)}")
+        t = math.sqrt(nbar / (1.0 + nbar))
+        bell_gmes = _bell([math.sqrt(poisson_tail(n, lam)) for n in range(3)])
+        rows.append((nbar, bell_gmes, _bell([1.0, t, t * t])))
     _emit(("nbar", "bell_gmes", "bell_tmsv"), rows, args.out)
     return 0
 
@@ -208,7 +207,7 @@ def cmd_fig2(args) -> int:
         _emit((xname, *[f"fid_N{dim}" for dim in dims]), rows, args.out)
         return 0
 
-    dims = [int(dim) for dim in cfg.integer_grid()]
+    dims = cfg.integer_grid()
     value = args.b if args.variant == "c" else args.r
     _emit(("N", "fidelity"), list(zip(dims, mes_overlaps(family, value, dims, args.cap))), args.out)
     return 0
@@ -312,7 +311,7 @@ def _build_parser():
     p = add_command("fidelity", "fidelity between two states given as family:key=value specs", "tol", "cap")
     p.add_argument("states", nargs=2, metavar="STATE", help="e.g. tmsv:r=1.0 gmes:b=15 mes:N=200")
 
-    p = add_command("fig1", "Bell ceiling of the qutrit truncation vs mean photon number", "tol", "cap")
+    p = add_command("fig1", "Bell ceiling of the qutrit truncation vs mean photon number")
     p.add_argument("--start", type=float, default=0.01, help="first per-mode nbar")
     p.add_argument("--stop", type=float, default=50.0, help="last per-mode nbar")
     p.add_argument("--steps", type=int, default=200)
@@ -398,9 +397,6 @@ def main(argv=None) -> int:
         return 2
     try:
         return _DISPATCH[args.command](args)
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (DomainError, ConfigError, TruncationError, DegenerateInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

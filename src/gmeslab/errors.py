@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: domain/config/truncation/degeneracy
-problems are usage-level failures (exit 2), solver failures exit 3.
+The CLI maps domain/config/truncation/degeneracy problems to exit 2; no
+subcommand calls the one solver that raises ``SolverError``.
 """
 
 

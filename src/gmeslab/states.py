@@ -15,6 +15,7 @@ result as ``tail_bound``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,6 +129,13 @@ def _poisson_tail_array(lam: float, nmax: int) -> np.ndarray:
     return np.where(cdf <= 0.5, lower, above)
 
 
+def _poisson_mean(b: float) -> float:
+    # b^2, which rounds to 0 below b = 2^-537.5 ~ 1.6e-162 and overflows above ~1.3e154
+    if not (b > 0.0 and 0.0 < b * b < math.inf):
+        raise DomainError(f"boundary radius b needs 1.6e-162 < b < 1.3e154 (b^2 a positive float), got {b}")
+    return b * b
+
+
 def f_coefficient(n: int, b: float) -> float:
     """Photon-number weight f(n, b) of the boundary-b Gaussian mixed state.
 
@@ -136,9 +144,7 @@ def f_coefficient(n: int, b: float) -> float:
     """
     if int(n) != n or n < 0:
         raise DomainError(f"n must be a nonnegative integer, got {n}")
-    if not math.isfinite(b) or b <= 0.0:
-        raise DomainError(f"boundary radius b must be positive, got {b}")
-    lam = b * b
+    lam = _poisson_mean(b)
     return poisson_tail(int(n), lam) / lam
 
 
@@ -148,10 +154,8 @@ def bounded_f_profile(b: float, tol: float = DEFAULT_TOL, cap: int = MAX_CUTOFF)
     Returns ``(values, tail_bound)``.  Shared by the Schmidt-spectrum and the
     diagonal-distribution constructors so the two stay numerically identical.
     """
-    if not math.isfinite(b) or b <= 0.0:
-        raise DomainError(f"boundary radius b must be positive, got {b}")
+    lam = _poisson_mean(b)
     _check_tol(tol)
-    lam = b * b
     nmax = int(lam + 12.0 * math.sqrt(lam) + 30.0)
     while True:
         nmax = min(nmax, cap)
@@ -234,13 +238,14 @@ def mes_overlaps(family: str, value: float, dims, cap: int = MAX_CUTOFF) -> list
       exceeds ``cap``);
     * "mes", value M: min(N, M) / sqrt(N M).
     """
-    if any(int(dim) != dim or dim < 1 for dim in dims):
-        raise DomainError(f"target dimensions must be integers >= 1, got {list(dims)}")
+    # every dimension must convert to a float, as sqrt(N) does
+    sizes = [*dims, value] if family == "mes" else list(dims)
+    if not all(1 <= N <= sys.float_info.max and int(N) == N for N in sizes):
+        raise DomainError(f"dimensions must be integers from 1 to {sys.float_info.max:.4g}, got {sizes}")
     dims = [int(dim) for dim in dims]
     if family == "mes":
-        if int(value) != value or value < 1:
-            raise DomainError(f"N must be an integer >= 1, got {value}")
-        overlaps = [min(dim, value) / math.sqrt(dim * int(value)) for dim in dims]
+        # min(N, M) / sqrt(N M) as sqrt(min/max): N M may pass the float range
+        overlaps = [math.sqrt(min(dim, value) / max(dim, value)) for dim in dims]
     elif family == "tmsv":
         if not math.isfinite(value) or value < 0.0:
             raise DomainError(f"squeezing parameter r must be nonnegative, got {value}")
@@ -251,9 +256,7 @@ def mes_overlaps(family: str, value: float, dims, cap: int = MAX_CUTOFF) -> list
         sums = [math.expm1(dim * log_t) / math.expm1(log_t) if log_t < 0.0 else dim for dim in dims]
         overlaps = [total * scale / math.sqrt(dim) for total, dim in zip(sums, dims)]
     elif family == "gmes":
-        if not math.isfinite(value) or value <= 0.0:
-            raise DomainError(f"boundary radius b must be positive, got {value}")
-        lam = value * value
+        lam = _poisson_mean(value)
         nmax = int(lam + _tail_window(lam))
         if nmax > cap:
             raise TruncationError(f"overlap sum for b={value} needs {nmax} terms, past the hard cap {cap}")

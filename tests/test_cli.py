@@ -1,17 +1,23 @@
 """Command-line interface: CSV contracts, config files and exit codes."""
 
 import argparse
+import contextlib
+import io
 import math
 import tracemalloc
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.special import pdtrc
 
 import gmeslab.cli
-from gmeslab import SolverError, fidelity, gmes_spectrum, mes_spectrum, tmsv_spectrum
-from gmeslab.cli import main
+import gmeslab.states
+from gmeslab import fidelity, gmes_spectrum, mes_spectrum, tmsv_spectrum
+from gmeslab.cli import SweepConfig, main
 
 
 def run(capsys, *args):
@@ -69,6 +75,25 @@ def test_spectrum_mes(capsys):
 def test_spectrum_usage_errors(capsys, args):
     code, _, _ = run(capsys, *args)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("spectrum", "--family", "gmes", "--b", "1e-200"),
+        ("fidelity", "gmes:b=1e-200", "mes:N=3"),
+        ("fig2", "--variant", "a", "--start", "1e-200", "--stop", "1", "--steps", "2"),
+        ("spectrum", "--family", "gmes", "--b", "1e155"),
+    ],
+)
+def test_gmes_radius_whose_square_is_not_a_positive_float(capsys, args):
+    # b^2 rounds to 0 below about 1.6e-162 (log(0) raised a bare ValueError)
+    # and overflows above about 1.3e154
+    code, out, err = run(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert "1.6e-162 < b < 1.3e154" in err
+    assert run(capsys, "spectrum", "--family", "gmes", "--b", "1e-161")[1] == "n,coeff\n0,1.0\n"
 
 
 def test_spectrum_mes_above_cap(capsys):
@@ -147,14 +172,78 @@ def test_fig1_deterministic(capsys):
     assert out1 == out2
 
 
-def test_fig1_solver_failure_exit_code(capsys, monkeypatch):
-    def boom(nbar, tol=1e-8):
-        raise SolverError("no bracket")
+@pytest.mark.parametrize(
+    "args",
+    [
+        # below nbar = 1e-150, P(X > 1) ~ 2 nbar^2 nears the float underflow
+        ("--start", "1e-300", "--stop", "1", "--steps", "2"),
+        ("--start", "0", "--stop", "1", "--steps", "2", "--spacing", "linear"),
+        # 2 nbar overflows
+        ("--start", "1", "--stop", "1e308", "--steps", "2", "--spacing", "linear"),
+        # fig1 builds no spectrum, so it takes neither option
+        ("--tol", "1e-3"),
+        ("--cap", "10"),
+    ],
+    ids=["nbar-underflow", "nbar-zero", "nbar-overflow", "tol", "cap"],
+)
+def test_fig1_domain_and_option_errors(capsys, args):
+    code, out, err = run(capsys, "fig1", *args)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
 
-    monkeypatch.setattr(gmeslab.cli, "solve_b_for_nbar", boom)
-    code, _, err = run(capsys, "fig1", "--start", "1", "--stop", "2", "--steps", "2")
-    assert code == 3
-    assert "nbar=" in err
+
+def test_fig1_builds_no_spectrum(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("fig1 built a spectrum")
+
+    for name in ("gmes_spectrum", "tmsv_spectrum", "mes_spectrum"):
+        monkeypatch.setattr(gmeslab.cli, name, refuse)
+    monkeypatch.setattr(gmeslab.states, "bounded_f_profile", refuse)
+    code, out, _ = run(capsys, "fig1")
+    assert code == 0
+    assert len(rows_of(out)[1]) == 200
+
+
+def fig1_row(nbar):
+    """``(bell_gmes, bell_tmsv)`` as fig1 prints them at ``nbar``, the first point of its grid."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["fig1", "--start", repr(nbar), "--stop", repr(2.0 * nbar), "--steps", "2",
+                     "--spacing", "linear"])
+    assert code == 0
+    return tuple(float(v) for v in rows_of(out.getvalue())[1][0][1:])
+
+
+def bell_closed_form(a, sqrt=math.sqrt):
+    norm = sqrt(sum(x * x for x in a))
+    a0, a1, a2 = (x / norm for x in a)
+    return 4 * a0 * a1 + 4 / sqrt(3) * (a0 * a2 + a1 * a2)
+
+
+def fig1_oracle(nbar):
+    """Both fig1 columns at ``nbar`` to 50 digits: GMES from P(X > n) at X ~ Poisson(2 nbar),
+    TMSV from (1, t, t^2) with t^2 = nbar / (1 + nbar)."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(nbar)
+        gmes = [mpmath.sqrt(mpmath.gammainc(n + 1, 0, 2 * x, regularized=True)) for n in range(3)]
+        t = mpmath.sqrt(x / (1 + x))
+        return tuple(float(bell_closed_form(a, mpmath.sqrt)) for a in (gmes, [1, t, t * t]))
+
+
+@pytest.mark.parametrize("nbar", [1e-8, 0.01, 1.0, 50.0, 1e6])
+def test_fig1_matches_mpmath(nbar):
+    # a spectrum cut at tol = 1e-12 drops a2 at nbar = 1e-8 (4.7e-5 and 5.8e-5
+    # off) and passes the spectrum cap at nbar = 1e6
+    assert fig1_row(nbar) == pytest.approx(fig1_oracle(nbar), rel=1e-11)
+
+
+@given(st.floats(-8.0, 6.0))
+@example(-8.0)
+@example(6.0)
+def test_fig1_gmes_matches_pdtrc(exponent):
+    nbar = 10.0**exponent
+    want = bell_closed_form(np.sqrt(pdtrc(np.arange(3), 2.0 * nbar)))
+    assert fig1_row(nbar)[0] == pytest.approx(want, rel=1e-11)
 
 
 def test_fig1_bad_range(capsys):
@@ -288,6 +377,34 @@ def test_fig2_gmes_past_spectrum_cap(capsys):
     assert [row[0] for row in rows] == ["299.0", "300.0", "301.0"]
     for row in rows:
         assert all(0.0 < float(v) <= 1.0 for v in row[1:])
+
+
+def test_fig2_integer_grid_past_int64(capsys):
+    # an int64 cast wrapped 1e19 to a negative N, which was then dropped
+    code, out, _ = run(capsys, "fig2", "--variant", "c", "--stop", "1e19", "--steps", "3")
+    assert code == 0
+    assert [row[0] for row in rows_of(out)[1]] == ["1", "3162277660", "10000000000000000000"]
+    grid = SweepConfig(start=1.0, stop=1e19, steps=3, spacing="log").integer_grid()
+    assert grid == [1, 3162277660, 10**19]
+    assert all(type(dim) is int for dim in grid)
+
+
+def test_dimensions_past_the_float_range(capsys):
+    huge = str(10**309)
+    for args in (
+        ("fig2", "--variant", "b", "--steps", "2", "--dims", huge),
+        ("fidelity", "tmsv:r=1.0", f"mes:N={huge}"),
+        ("fidelity", f"mes:N={huge}", "mes:N=3"),
+    ):
+        code, out, err = run(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert "1.798e+308" in err
+    # N M = 1e400 is past the float range, though N and M are not
+    big = str(10**200)
+    code, out, _ = run(capsys, "fidelity", f"mes:N={big}", f"mes:N={big}")
+    assert code == 0
+    assert out.splitlines()[1].endswith(",1.0")
 
 
 def test_fig2_usage_errors(capsys):

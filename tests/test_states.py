@@ -183,6 +183,19 @@ def test_f_domain_errors():
         f_coefficient(0, -2.0)
     with pytest.raises(DomainError):
         f_coefficient(-1, 1.0)
+    # b^2 rounds to 0 (and log(0) raised ValueError) or overflows
+    for b in (1e-200, 1e155):
+        with pytest.raises(DomainError, match="1.6e-162 < b < 1.3e154"):
+            f_coefficient(0, b)
+        with pytest.raises(DomainError, match="1.6e-162 < b < 1.3e154"):
+            states.bounded_f_profile(b)
+
+
+def test_f_tiny_radius_is_vacuum():
+    # b^2 = 1e-322 is subnormal but positive
+    assert f_coefficient(0, 1e-161) == 1.0
+    assert gmes_spectrum(1e-161).coeffs.tolist() == [1.0]
+    assert mes_overlaps("gmes", 1e-161, [1, 4]) == [1.0, 0.5]
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +414,8 @@ def test_mes_overlaps_closed_forms():
     assert mes_overlaps("tmsv", 0.0, [1, 4, 100]) == [1.0, 0.5, 0.1]
     assert mes_overlaps("mes", 3, [3, 12]) == [1.0, 0.5]
     assert mes_overlaps("mes", 12, [3]) == [0.5]
+    # N M passes the float range
+    assert mes_overlaps("mes", 10**200, [10**200, 10**100]) == [1.0, 1e-50]
     # t = tanh(20) is 1 - 8.5e-18, so the first 2e6 terms are all but equal
     [got] = mes_overlaps("tmsv", 20.0, [2_000_000])
     assert got == pytest.approx(math.sqrt(2e6) / math.cosh(20.0), rel=1e-9)
@@ -429,10 +444,15 @@ def test_mes_overlaps_errors():
         ("tmsv", math.nan, [1]),
         ("gmes", 0.0, [1]),
         ("gmes", math.inf, [1]),
+        ("gmes", 1e-200, [1]),
+        ("gmes", 1e155, [1]),
         ("mes", 0, [1]),
         ("mes", 2.5, [1]),
+        ("mes", 10**309, [1]),
         ("tmsv", 1.0, [0]),
         ("gmes", 1.0, [2.5]),
+        ("tmsv", 1.0, [10**309]),
+        ("tmsv", 1.0, [math.inf]),
         ("custom", 1.0, [1]),
     ]:
         with pytest.raises(DomainError):
