@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from .errors import DomainError
 from .metrics import SQRT3, QutritState
@@ -107,15 +106,15 @@ def _observables_from_params(thetas: np.ndarray) -> np.ndarray:
     return u @ REF_OBSERVABLE @ np.conjugate(np.swapaxes(u, -1, -2))
 
 
-def _decorated_shifts(chis: np.ndarray) -> np.ndarray:
-    """Observables D SHIFT D+ for diagonal phase vectors chis of shape (..., 3)."""
-    return SHIFT * np.exp(1j * (chis[..., :, np.newaxis] - chis[..., np.newaxis, :]))
+def _links(chis: np.ndarray) -> np.ndarray:
+    """Link phases exp(i (chi_{l+1} - chi_l)), l = 0, 1, 2, of diagonal phases (..., 3)."""
+    return np.exp(1j * (chis[..., [1, 2, 0]] - chis))
 
 
 def _params_from_unitary(u: np.ndarray) -> np.ndarray:
     """Generator coefficients of the principal logarithm of a unitary."""
-    t, z = schur(u, output="complex")
-    gen = (z * np.angle(np.diag(t))) @ np.conjugate(z.T)
+    w, v = np.linalg.eig(u)
+    gen = (v * np.angle(w)) @ np.linalg.inv(v)
     gen = 0.5 * (gen + np.conjugate(gen.T))
     # project onto the generator basis; any trace part only shifts U by a
     # global phase, which the conjugation U Omega U+ ignores
@@ -223,9 +222,17 @@ def bell_value(q: QutritState, settings: MeasurementSettings) -> float:
     return float(_bell_from_correlations(qmat))
 
 
-def _correlation_block(outer: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
-    # alice, bob: (R, 2, 3, 3) -> (R, 2, 2)
-    return np.einsum("kl,rikl,rjkl->rij", outer, alice, bob)
+# Link l of the base decorations (A1, A2, B1, B2) gives the block Q_ij =
+# G^A_il G^B_jl.  The Bell combination B is real-linear, so B(z Q) =
+# Re(z C_l) with C_l = B(Q) - i B(iQ): (4, 4/sqrt3, 4/sqrt3) up to rounding.
+_BASE_LINKS = np.einsum("il,jl->lij", _links(_BASE_DECORATIONS[:2]), _links(_BASE_DECORATIONS[2:]))
+_LINK_WEIGHTS = _bell_from_correlations(_BASE_LINKS) - 1j * _bell_from_correlations(1j * _BASE_LINKS)
+
+
+def _phase_bell(q: QutritState, phases: np.ndarray) -> np.ndarray:
+    """Bell value of the decorated canonical settings at local phases (..., 6)."""
+    pair = _LINK_WEIGHTS * q.a * q.a[[1, 2, 0]]
+    return np.sum(pair * _links(phases[..., :3]) * _links(phases[..., 3:]), axis=-1).real
 
 
 def maximize_bell(
@@ -243,6 +250,15 @@ def maximize_bell(
     improvement, and stops once the step drops below ``tol`` (or after a hard
     sweep limit, reported via ``converged``).  The winning phases are returned
     as a regular (4, 8) parameter block.
+
+    Trials are scored on link phases, not on 3x3 matrices.  A decorated
+    shift D SHIFT D+ is nonzero only at (l+1, l), where it holds the link
+    phase L_l = exp(i (chi_{l+1} - chi_l)), so the Bell value at local phases
+    (phi_A, phi_B) is Re sum_l C_l a_l a_{l+1} L_l(phi_A) L_l(phi_B) with
+    C = ``_LINK_WEIGHTS``.  Moving phi_c by +-step turns link c - 1 by
+    exp(+-i step) and link c by exp(-+i step); with the other party's links
+    fixed, a trial costs O(restarts).  The returned value is recomputed from
+    the final phases.
     """
     if int(restarts) != restarts or restarts < 1:
         raise DomainError(f"restarts must be an integer >= 1, got {restarts}")
@@ -250,24 +266,10 @@ def maximize_bell(
         raise DomainError(f"step tolerance must lie in (0, 1), got {tol}")
     restarts = int(restarts)
 
-    phases = np.stack(
-        [
-            np.random.default_rng([seed, i]).uniform(-np.pi, np.pi, size=6)
-            for i in range(restarts)
-        ]
-    )
-    outer = q.a[:, np.newaxis] * q.a[np.newaxis, :]
-
-    def _party_observables(party: int, blocks: np.ndarray) -> np.ndarray:
-        # blocks: (R, 3) local phases -> (R, 2, 3, 3) decorated settings
-        chis = _BASE_DECORATIONS[2 * party : 2 * party + 2] + blocks[:, np.newaxis, :]
-        return _decorated_shifts(chis)
-
-    obs = np.concatenate(
-        [_party_observables(0, phases[:, :3]), _party_observables(1, phases[:, 3:])], axis=1
-    )
-    best = _bell_from_correlations(_correlation_block(outer, obs[:, :2], obs[:, 2:]))
-
+    rngs = (np.random.default_rng([seed, i]) for i in range(restarts))
+    phases = np.stack([rng.uniform(-np.pi, np.pi, size=6) for rng in rngs])
+    pair = _LINK_WEIGHTS * q.a * q.a[[1, 2, 0]]
+    best = _phase_bell(q, phases)
     step = np.full(restarts, _INITIAL_STEP)
     sweeps = 0
     while sweeps < _MAX_SWEEPS:
@@ -275,30 +277,30 @@ def maximize_bell(
         if not active.any():
             break
         improved = np.zeros(restarts, dtype=bool)
+        turn = np.exp(1j * step)
+        moves = ((step, turn, np.conjugate(turn)), (-step, np.conjugate(turn), turn))
         for party in range(2):
             block = slice(3 * party, 3 * party + 3)
+            # the other party's links stay fixed while this party moves
+            pull = pair * _links(phases[:, 3 - 3 * party : 6 - 3 * party])
+            terms = pull * _links(phases[:, block])
             for coord in range(3):
-                for sign in (1.0, -1.0):
-                    trial = phases[:, block].copy()
-                    trial[:, coord] += sign * step
-                    new_obs = _party_observables(party, trial)
-                    if party == 0:
-                        trial_q = _correlation_block(outer, new_obs, obs[:, 2:])
-                    else:
-                        trial_q = _correlation_block(outer, obs[:, :2], new_obs)
-                    value = _bell_from_correlations(trial_q)
+                for shift, up, down in moves:
+                    # links c + 1 (unchanged), c - 1 and c, indexed mod 3
+                    value = (terms[:, coord - 2] + terms[:, coord - 1] * up + terms[:, coord] * down).real
                     accept = active & (value > best)
                     if accept.any():
-                        phases[accept, block] = trial[accept]
-                        obs[accept, 2 * party : 2 * party + 2] = new_obs[accept]
-                        best[accept] = value[accept]
+                        phases[:, 3 * party + coord] += np.where(accept, shift, 0.0)
+                        terms = pull * _links(phases[:, block])
+                        best = np.where(accept, value, best)
                         improved |= accept
         step[active & ~improved] *= _STEP_SHRINK
         sweeps += 1
 
-    winner = int(np.argmax(best))
+    final = _phase_bell(q, phases)
+    winner = int(np.argmax(final))
     return BellResult(
-        value=float(best[winner]),
+        value=float(final[winner]),
         settings=_settings_from_phases(phases[winner]),
         restarts_used=restarts,
         converged=bool(step[winner] < tol),

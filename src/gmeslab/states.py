@@ -19,7 +19,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 from scipy.special import gammaln
 
 from .errors import ConfigError, DomainError, SolverError, TruncationError
@@ -157,21 +156,20 @@ def bounded_f_profile(b: float, tol: float = DEFAULT_TOL, cap: int = MAX_CUTOFF)
     lam = _poisson_mean(b)
     _check_tol(tol)
     nmax = int(lam + 12.0 * math.sqrt(lam) + 30.0)
-    while True:
+    # each f(n, b) is below 1/b^2, so no cutoff within the cap exists when
+    # (cap + 1)/b^2 < 1 - tol; that is known before any array is built
+    reachable = (cap + 1) / lam >= 1.0 - tol
+    while reachable:
         nmax = min(nmax, cap)
         f = _poisson_tail_array(lam, nmax) / lam
         csum = np.cumsum(f)
         cut = int(np.searchsorted(csum, 1.0 - tol))
         if cut <= nmax:
-            break
-        if nmax == cap:
-            raise TruncationError(
-                f"cutoff for b={b} at tol={tol} exceeds the hard cap {cap}"
-            )
+            values = f[: cut + 1].copy()
+            return values, max(0.0, 1.0 - math.fsum(values.tolist()))
+        reachable = nmax < cap
         nmax *= 2
-    values = f[: cut + 1].copy()
-    tail = max(0.0, 1.0 - math.fsum(values.tolist()))
-    return values, tail
+    raise TruncationError(f"cutoff for b={b} at tol={tol} exceeds the hard cap {cap}")
 
 
 def _log_tanh(r: float) -> float:
@@ -292,6 +290,8 @@ def solve_b_for_nbar(nbar: float, tol: float = 1e-8) -> float:
         raise DomainError(f"nbar must be positive, got {nbar}")
     if not (0.0 < tol < 1.0):
         raise ConfigError(f"solver tolerance must lie in (0, 1), got {tol}")
+    # imported here: no subcommand solves for b, so scipy.optimize stays off the import path
+    from scipy.optimize import bisect
 
     def mean_minus_target(b: float) -> float:
         return mean_photon(gmes_spectrum(b)) - nbar

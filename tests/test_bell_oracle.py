@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import schur
 
 from gmeslab import (
     GENERATORS,
@@ -18,6 +21,13 @@ from gmeslab import (
     correlation,
     maximize_bell,
     observable_from_params,
+)
+from gmeslab.bell_oracle import (
+    _BASE_DECORATIONS,
+    _SHIFT_DIAGONALIZER,
+    _params_from_unitary,
+    _phase_bell,
+    _settings_from_phases,
 )
 
 UNIFORM = QutritState(np.full(3, 1.0 / math.sqrt(3.0)))
@@ -234,3 +244,50 @@ def test_maximize_argument_validation():
         maximize_bell(UNIFORM, tol=0.0)
     with pytest.raises(DomainError):
         maximize_bell(UNIFORM, tol=1.0)
+
+
+def schur_params(u):
+    # reference principal logarithm through the complex Schur form
+    t, z = schur(u, output="complex")
+    gen = (z * np.angle(np.diag(t))) @ np.conjugate(z.T)
+    gen = 0.5 * (gen + np.conjugate(gen.T))
+    return np.einsum("jkl,lk->j", GENERATORS, gen).real / 2.0
+
+
+def test_params_from_unitary_matches_schur():
+    rng = np.random.default_rng(61)
+    blocks = [np.zeros(6)] + [rng.uniform(-np.pi, np.pi, 6) for _ in range(200)]
+    for phases in blocks:
+        chis = _BASE_DECORATIONS + np.reshape(phases, (2, 3))[[0, 0, 1, 1]]
+        for chi in chis:
+            unitary = np.exp(1j * chi)[:, np.newaxis] * _SHIFT_DIAGONALIZER
+            np.testing.assert_allclose(_params_from_unitary(unitary), schur_params(unitary), rtol=0, atol=1e-13)
+
+
+def test_phase_bell_matches_bell_value():
+    # the link-phase form the search scores trials with, against the 3x3 path
+    rng = np.random.default_rng(67)
+    for _ in range(100):
+        q = random_state(rng)
+        phases = rng.uniform(-np.pi, np.pi, 6)
+        want = bell_value(q, _settings_from_phases(phases))
+        assert abs(_phase_bell(q, phases) - want) <= 1e-13
+
+
+# Zero or at least 1e-150, so each product a_k a_l is 0 or a normal float: a
+# subnormal product carries an absolute rounding of 4.9e-324, which no
+# relative bound can cover, on the closed form's side as much as the oracle's.
+COEFFS = st.one_of(st.just(0.0), st.floats(1e-150, 1.0))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.tuples(COEFFS, COEFFS, COEFFS).filter(any), st.integers(0, 2**32 - 1))
+@example((1.0, 1.0, 1.0), 0)
+@example((1.0, 0.0, 0.0), 0)
+@example((0.9, 0.3, 0.05), 3)
+def test_maximize_never_exceeds_the_closed_form(a, seed):
+    q = QutritState(np.divide(a, math.hypot(*a)))
+    want = bell_max_analytic(q).value
+    value = maximize_bell(q, seed=seed).value
+    assert value <= want * (1.0 + 1e-12)
+    assert value >= want - 1e-9

@@ -4,7 +4,11 @@ import argparse
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import mpmath
@@ -102,6 +106,36 @@ def test_spectrum_mes_above_cap(capsys):
     assert code == 2
     assert "hard cap" in err
     assert run(capsys, "spectrum", "--family", "mes", "--N", "50", "--cap", "49")[0] == 2
+
+
+def test_spectrum_gmes_past_the_cap_allocates_nothing(capsys):
+    # every f(n, b) is below 1/b^2, so at b = 1e4 no cutoff within the
+    # 200000 cap can hold 1 - tol of the mass; that is known before any
+    # O(b) array is built
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "spectrum", "--family", "gmes", "--b", "1e4")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert "hard cap" in err
+    assert peak < 1_000_000
+
+
+def test_import_skips_scipy_linalg_and_optimize():
+    # only solve_b_for_nbar needs scipy.optimize (which loads scipy.linalg),
+    # and no subcommand calls it
+    script = (
+        "import sys, gmeslab, gmeslab.cli; "
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))"
+    )
+    src = str(Path(gmeslab.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True,
+                          timeout=120)
+    assert done.stdout == "[]\n"
 
 
 def test_no_command(capsys):
