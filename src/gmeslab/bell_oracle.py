@@ -88,6 +88,9 @@ _DEFAULT_STEP_TOL = 1e-7
 _INITIAL_STEP = 0.5
 _STEP_SHRINK = 0.5
 _MAX_SWEEPS = 5000
+# Most restarts; each one holds its own generator and array rows, so more
+# than this is taken for a typo, not a request.
+_MAX_RESTARTS = 10_000
 
 
 def observable_from_params(theta) -> np.ndarray:
@@ -260,8 +263,10 @@ def maximize_bell(
     fixed, a trial costs O(restarts).  The returned value is recomputed from
     the final phases.
     """
-    if int(restarts) != restarts or restarts < 1:
-        raise DomainError(f"restarts must be an integer >= 1, got {restarts}")
+    if int(restarts) != restarts or not (1 <= restarts <= _MAX_RESTARTS):
+        raise DomainError(f"restarts must be an integer in [1, {_MAX_RESTARTS}], got {restarts}")
+    if int(seed) != seed or seed < 0:
+        raise DomainError(f"seed must be an integer >= 0, got {seed}")
     if not (0.0 < tol < 1.0):
         raise DomainError(f"step tolerance must lie in (0, 1), got {tol}")
     restarts = int(restarts)

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell_oracle import maximize_bell
-from .crosskerr import (
-    coherent_fock,
-    default_cutoff,
-    kerr_mes_fidelity,
-    pseudo_number_component,
-    pseudo_phase_gram,
-)
+from .crosskerr import _kerr_row, default_cutoff
 from .errors import ConfigError, DegenerateInputError, DomainError, TruncationError
 from .metrics import QutritState, bell_max_analytic, fidelity
 from .states import (
@@ -238,10 +232,7 @@ def cmd_kerr(args) -> int:
     if args.d is None:
         raise DomainError("kerr requires --d")
     cutoff = default_cutoff(args.alpha) if args.cutoff is None else args.cutoff
-    value = kerr_mes_fidelity(args.alpha, args.d, cutoff)
-    coherent = coherent_fock(args.alpha, cutoff)
-    norms2 = [pseudo_number_component(coherent, args.d, k)[1] ** 2 for k in range(args.d)]
-    gram = pseudo_phase_gram(args.alpha, args.d, cutoff)
+    value, norms2, gram_row = _kerr_row(args.alpha, args.d, cutoff)
     header = (
         "alpha",
         "d",
@@ -256,7 +247,7 @@ def cmd_kerr(args) -> int:
         int(cutoff),
         value,
         *norms2,
-        *[abs(gram[0, k]) for k in range(1, args.d)],
+        *np.abs(gram_row[1:]),
     )
     _emit(header, [row], args.out)
     return 0

@@ -15,9 +15,10 @@ The Gram matrix of these phase states has eigenvalues d n_k^2, and their
 Loewdin (polar) orthonormalization is |e_j> = (1/sqrt(d)) sum_k w^(jk) |k_d>,
 the discrete Fourier transform of the number basis.  So <e_j | alpha w^j> =
 (1/sqrt(d)) sum_k n_k for every j, and the output sum_j n_j |j_d> (x)
-|alpha w^j> overlaps the target by (1/d) (sum_k n_k)^2.  No two-mode array is
-needed; the two-mode helpers below stay for tests that rebuild the overlap
-directly.
+|alpha w^j> overlaps the target by (1/d) (sum_k n_k)^2.  Their Gram matrix
+G_jk = sum_m n_m^2 w^((k-j)m) is the circulant with first row d ifft(n^2), so
+one coherent vector, not d rotated ones, gives the whole Kerr report; the
+two-mode helpers below stay for tests that rebuild the overlap directly.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, TruncationError
-from .states import poisson_tail
+from .states import MAX_CUTOFF, poisson_tail
 
 _NORM_SLACK = 1e-9
 
@@ -98,7 +99,10 @@ class TwoModeFock:
 def default_cutoff(alpha: complex) -> int:
     """Fock cutoff |alpha|^2 + 8|alpha| + 20, ample for ~1e-10 truncation loss."""
     a = abs(alpha)
-    return math.ceil(a * a + 8.0 * a + 20.0)
+    cutoff = a * a + 8.0 * a + 20.0
+    if not math.isfinite(cutoff):
+        raise DomainError(f"alpha must be finite with |alpha|^2 below the float range, got {alpha}")
+    return math.ceil(cutoff)
 
 
 def coherent_fock(alpha: complex, cutoff: int | None = None) -> FockVector:
@@ -108,11 +112,15 @@ def coherent_fock(alpha: complex, cutoff: int | None = None) -> FockVector:
     the exact Poisson tail past the cutoff is recorded as the loss.
     """
     alpha = complex(alpha)
+    if not math.isfinite(abs(alpha)):
+        raise DomainError(f"|alpha| must be finite, got {alpha}")
     if cutoff is None:
         cutoff = default_cutoff(alpha)
     if int(cutoff) != cutoff or cutoff < 0:
         raise DomainError(f"cutoff must be a nonnegative integer, got {cutoff}")
     cutoff = int(cutoff)
+    if cutoff > MAX_CUTOFF:
+        raise TruncationError(f"cutoff {cutoff} exceeds the hard cap {MAX_CUTOFF}")
     mag_sq = abs(alpha) ** 2
     if mag_sq > cutoff / 2.0:
         raise TruncationError(
@@ -165,17 +173,38 @@ def cross_kerr_apply(s: TwoModeFock, d: int) -> TwoModeFock:
     return TwoModeFock(s.amps * phases[residues], s.cutoff, s.loss)
 
 
+def _pseudo_number_weights(v: FockVector, d: int) -> np.ndarray:
+    """Squared norms n_k^2 of the pseudo-number components of ``v``, k = 0..d-1."""
+    return np.bincount(np.arange(v.cutoff + 1) % d, weights=(v.amps * v.amps.conj()).real, minlength=d)
+
+
 def pseudo_phase_gram(alpha: complex, d: int, cutoff: int | None = None) -> np.ndarray:
     """Gram matrix G_jk = <alpha e^(2 pi i j/d) | alpha e^(2 pi i k/d)> in the truncated space.
 
+    It is the circulant with first row d ifft(n^2) (see the module docstring).
     The exact magnitudes are exp(-|alpha|^2 (1 - cos(2 pi (k-j)/d))).
     """
     _check_modulus(d)
-    if cutoff is None:
-        cutoff = default_cutoff(alpha)
-    rotations = np.exp(2j * np.pi * np.arange(d) / d)
-    vecs = np.stack([coherent_fock(alpha * rot, cutoff).amps for rot in rotations])
-    return np.conjugate(vecs) @ vecs.T
+    first_row = d * np.fft.ifft(_pseudo_number_weights(coherent_fock(alpha, cutoff), d))
+    return np.stack([np.roll(first_row, j) for j in range(d)])
+
+
+def _kerr_row(alpha: complex, d: int, cutoff: int | None):
+    """(fidelity, n_k^2, first Gram row) of the Kerr report, from one coherent vector."""
+    _check_modulus(d)
+    base = coherent_fock(alpha, cutoff)
+    if d > base.cutoff + 1:  # checked before the O(d) weights exist
+        raise DegenerateInputError(f"component k={base.cutoff + 1} is empty: d = {d} > cutoff + 1")
+    weights = _pseudo_number_weights(base, d)
+    if weights.min() < 1e-24:
+        raise DegenerateInputError(
+            f"pseudo-number component k={weights.argmin()} has negligible weight for alpha={complex(alpha)}"
+        )
+    if weights.min() < _GRAM_EIG_FLOOR * weights.max():
+        raise DegenerateInputError(
+            f"pseudo-phase states are numerically dependent (Gram eigenvalue {d * weights.min():.3e})"
+        )
+    return min(1.0, float(np.sqrt(weights).sum()) ** 2 / d), weights, d * np.fft.ifft(weights)
 
 
 def kerr_mes_fidelity(alpha: complex, d: int, cutoff: int | None = None) -> float:
@@ -185,26 +214,13 @@ def kerr_mes_fidelity(alpha: complex, d: int, cutoff: int | None = None) -> floa
     pseudo-number components of |alpha> and |e_k> the Loewdin-orthonormalized
     phase-shifted coherent states.  The overlap equals (sum_k n_k)^2 / d with
     n_k the pseudo-number norms (see the module docstring), so it costs
-    O(d cutoff); rounding can push that sum past 1, so it is clamped to 1.
+    O(cutoff); rounding can push that sum past 1, so it is clamped to 1.
 
-    Raises ``DegenerateInputError`` when some n_k is below 1e-12, or when the
-    phase states are numerically dependent: their Gram eigenvalues are
-    d n_k^2, so when min n_k^2 < 1e-12 max n_k^2.
+    Raises ``DegenerateInputError`` when d > cutoff + 1 or some n_k is below
+    1e-12, or when the phase states are numerically dependent: their Gram
+    eigenvalues are d n_k^2, so when min n_k^2 < 1e-12 max n_k^2.
     """
-    _check_modulus(d)
-    base = coherent_fock(alpha, cutoff)
-    norms = np.array([pseudo_number_component(base, d, k)[1] for k in range(d)])
-    for k, norm in enumerate(norms):
-        if norm < 1e-12:
-            raise DegenerateInputError(
-                f"pseudo-number component k={k} has negligible weight for alpha={complex(alpha)}"
-            )
-    weights = norms * norms
-    if weights.min() < _GRAM_EIG_FLOOR * weights.max():
-        raise DegenerateInputError(
-            f"pseudo-phase states are numerically dependent (Gram eigenvalue {d * weights.min():.3e})"
-        )
-    return min(1.0, float(norms.sum()) ** 2 / d)
+    return _kerr_row(alpha, d, cutoff)[0]
 
 
 def _check_modulus(d: int) -> None:

@@ -84,15 +84,17 @@ def thermal_distribution(nbar: float, tol: float = DEFAULT_TOL) -> NumberDistrib
         raise ConfigError(f"truncation tolerance must lie in (0, 1), got {tol}")
     if nbar == 0.0:
         return NumberDistribution(np.array([1.0]), 0.0)
-    # log q = log nbar - log(1 + nbar), stable for both small and large nbar.
-    log_q = math.log(nbar) - math.log1p(nbar)
+    # log q = -log1p(1/nbar) with no cancellation for nbar >= 1 (the difference
+    # log nbar - log1p(nbar) rounds to 0 from nbar ~ 2e14); below 1, where
+    # 1/nbar can overflow, that difference is itself exact enough.
+    log_q = -math.log1p(1.0 / nbar) if nbar >= 1.0 else math.log(nbar) - math.log1p(nbar)
+    # a tail q^(cap+1) above tol puts the cutoff past the cap; checked first,
+    # as log_q rounds to 0 for huge nbar
+    if math.exp((MAX_CUTOFF + 1) * log_q) > tol:
+        raise TruncationError(f"cutoff for nbar={nbar} at tol={tol} exceeds the hard cap {MAX_CUTOFF}")
     cut = max(0, math.ceil(math.log(tol) / log_q) - 1)
     while math.exp((cut + 1) * log_q) > tol:
         cut += 1
-    if cut > MAX_CUTOFF:
-        raise TruncationError(
-            f"cutoff {cut} for nbar={nbar} at tol={tol} exceeds the hard cap {MAX_CUTOFF}"
-        )
     n = np.arange(cut + 1, dtype=float)
     probs = np.exp(n * log_q - math.log1p(nbar))
     tail = math.exp((cut + 1) * log_q)

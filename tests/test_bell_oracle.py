@@ -24,6 +24,7 @@ from gmeslab import (
 )
 from gmeslab.bell_oracle import (
     _BASE_DECORATIONS,
+    _MAX_RESTARTS,
     _SHIFT_DIAGONALIZER,
     _params_from_unitary,
     _phase_bell,
@@ -244,6 +245,21 @@ def test_maximize_argument_validation():
         maximize_bell(UNIFORM, tol=0.0)
     with pytest.raises(DomainError):
         maximize_bell(UNIFORM, tol=1.0)
+    for seed in (-1, 2.5):
+        with pytest.raises(DomainError, match="seed"):
+            maximize_bell(UNIFORM, restarts=1, seed=seed)
+
+
+def test_maximize_restart_cap(monkeypatch):
+    # rejected before any of its generators is built
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    with pytest.raises(DomainError, match="restarts"):
+        maximize_bell(UNIFORM, restarts=10**8)
+    with pytest.raises(DomainError, match="restarts"):
+        maximize_bell(UNIFORM, restarts=_MAX_RESTARTS + 1)
 
 
 def schur_params(u):

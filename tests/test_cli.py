@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from scipy.special import pdtrc
 
 import gmeslab.cli
+import gmeslab.crosskerr
 import gmeslab.states
 from gmeslab import fidelity, gmes_spectrum, mes_spectrum, tmsv_spectrum
 from gmeslab.cli import SweepConfig, main
@@ -473,6 +474,13 @@ def test_bell_oracle_zero_vector(capsys):
     assert run(capsys, "bell-oracle", "--a", "0", "0", "0")[0] == 2
 
 
+def test_bell_oracle_negative_seed(capsys):
+    code, out, err = run(capsys, "bell-oracle", "--a", "1", "1", "1", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "seed" in err and "Traceback" not in err
+
+
 def test_bell_oracle_gap_exit_code(capsys, monkeypatch):
     def stub(state, restarts=32, seed=0):
         return SimpleNamespace(value=0.1, restarts_used=restarts, converged=True)
@@ -506,6 +514,71 @@ def test_kerr_errors(capsys):
     assert run(capsys, "kerr", "--alpha", "0.001", "--d", "3")[0] == 2  # degenerate Gram
     assert run(capsys, "kerr", "--alpha", "4", "--d", "2", "--cutoff", "20")[0] == 2
     assert run(capsys, "kerr", "--alpha", "4", "--d", "2", "--tol", "1e-3")[0] == 2  # kerr reads no tol
+    # a non-finite alpha, a cutoff past the cap and a modulus past the cutoff
+    # are typed errors, raised before any array of that size exists
+    for argv in (
+        ("--alpha", "nan", "--d", "2"),
+        ("--alpha", "inf", "--d", "2"),
+        ("--alpha", "1e200", "--d", "2"),
+        ("--alpha", "1", "--d", "2", "--cutoff", "1000000000000000"),
+        ("--alpha", "4", "--d", "1000000000000"),
+    ):
+        code, out, err = run(capsys, "kerr", *argv)
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_kerr_builds_one_coherent_vector(capsys, monkeypatch):
+    calls = []
+    original = gmeslab.crosskerr.coherent_fock
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # every gmeslab name for it, so no call escapes the count
+    monkeypatch.setattr(gmeslab.crosskerr, "coherent_fock", counting)
+    monkeypatch.setattr(gmeslab.cli, "coherent_fock", counting, raising=False)
+    for d in (2, 5):
+        calls.clear()
+        assert run(capsys, "kerr", "--alpha", "2.5", "--d", str(d))[0] == 0
+        assert len(calls) == 1
+
+
+def poisson_weights(alpha, d, cutoff):
+    """n_k^2 and the truncated Gram row sum_r n_r^2 w^(kr), summed term by term at 40 digits."""
+    with mpmath.workdps(40):
+        lam = mpmath.mpf(alpha) ** 2
+        pmf = [mpmath.exp(-lam) * lam**n / mpmath.factorial(n) for n in range(cutoff + 1)]
+        weights = [mpmath.fsum(pmf[k::d]) for k in range(d)]
+        row = [
+            abs(mpmath.fsum(w * mpmath.expjpi(mpmath.mpf(2 * k * r) / d) for r, w in enumerate(weights)))
+            for k in range(d)
+        ]
+        return [float(w) for w in weights], [float(g) for g in row]
+
+
+@pytest.mark.parametrize("d", [5, 7])
+def test_kerr_alpha_10_at_the_default_cutoff(capsys, d):
+    # no rotated alpha is formed, so |alpha w^j|^2 cannot round past the
+    # 2|alpha|^2 guard of the default cutoff 200
+    code, out, _ = run(capsys, "kerr", "--alpha", "10", "--d", str(d))
+    assert code == 0
+    _, rows = rows_of(out)
+    values = [float(x) for x in rows[0]]
+    assert values[2] == 200
+    weights, gram = poisson_weights(10, d, 200)
+    np.testing.assert_allclose(values[4 : 4 + d], weights, rtol=1e-11)
+    # absolute: some moduli, about exp(-100 (1 - cos(2 pi k/d))), lie far
+    # below the rounding of the row (exp(-69) at d = 5, k = 2)
+    np.testing.assert_allclose(values[4 + d :], gram[1:], rtol=0, atol=1e-15)
+
+
+def test_kerr_alpha_11_still_past_the_default_cutoff(capsys):
+    # default cutoff 229 < 2 |alpha|^2 = 242
+    code, out, err = run(capsys, "kerr", "--alpha", "11", "--d", "2")
+    assert code == 2
+    assert out == "" and "too small" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Truncated Fock simulation: coherent states, mod-d components, Kerr phase."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gmeslab import (
+    MAX_CUTOFF,
     DegenerateInputError,
     DomainError,
     TruncationError,
@@ -41,6 +43,13 @@ def loewdin_reference(alpha, d, cutoff):
     phase_basis = inv_sqrt.T @ phases
     target = np.einsum("ki,kj->ij", np.stack(number_basis), phase_basis) / math.sqrt(d)
     return abs(complex(np.vdot(target, output.amps)))
+
+
+def rotated_gram_reference(alpha, d):
+    """Gram matrix of the d rotated coherent vectors |alpha w^j>, built one by one."""
+    rotations = np.exp(2j * np.pi * np.arange(d) / d)
+    vecs = np.stack([coherent_fock(alpha * rot, default_cutoff(alpha)).amps for rot in rotations])
+    return np.conjugate(vecs) @ vecs.T
 
 
 def closed_form_oracle(alpha, d, cutoff):
@@ -98,6 +107,28 @@ def test_coherent_cutoff_guard():
         coherent_fock(4.0, cutoff=20)  # |alpha|^2 = 16 > 20/2
     with pytest.raises(DomainError):
         coherent_fock(1.0, cutoff=-1)
+    # past the cap: raised before the O(cutoff) arrays exist
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncationError, match="hard cap"):
+            coherent_fock(1.0, cutoff=10**15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert coherent_fock(1.0, cutoff=MAX_CUTOFF).cutoff == MAX_CUTOFF
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, complex(1.0, math.nan), 1e200])
+def test_coherent_non_finite_alpha(alpha):
+    # 1e200 is finite, but |alpha|^2 is not, so neither is the default cutoff
+    with pytest.raises(DomainError):
+        coherent_fock(alpha)
+    with pytest.raises(DomainError):
+        default_cutoff(alpha)
+    if alpha != 1e200:
+        with pytest.raises(DomainError):
+            coherent_fock(alpha, cutoff=50)
 
 
 def test_default_cutoff():
@@ -185,6 +216,14 @@ def test_two_mode_product_cutoff_mismatch():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("alpha,d", [(4.0, 2), (4.0, 3), (1.3, 5), (9.5, 7), (0.5, 8), (3 + 1j, 4)])
+def test_gram_matches_rotated_vectors(alpha, d):
+    # the circulant from d ifft(n^2) against the Gram matrix of the rotated
+    # coherent vectors themselves
+    gram = pseudo_phase_gram(alpha, d)
+    np.testing.assert_allclose(gram, rotated_gram_reference(alpha, d), rtol=0, atol=2e-14)
+
+
 @pytest.mark.parametrize("alpha,d", [(1.0, 2), (2.0, 3), (1.5, 4), (0.8, 3)])
 def test_gram_off_diagonal_moduli(alpha, d):
     gram = pseudo_phase_gram(alpha, d)
@@ -250,6 +289,21 @@ def test_kerr_fidelity_never_exceeds_one(alpha, d):
     value = kerr_mes_fidelity(alpha, d)
     assert value <= 1.0
     assert value == pytest.approx(1.0, abs=1e-12)
+
+
+def test_kerr_fidelity_d_past_the_cutoff():
+    # levels stop at the cutoff, so residues past it are empty: raised before
+    # any O(d) array exists
+    tracemalloc.start()
+    try:
+        with pytest.raises(DegenerateInputError, match="is empty"):
+            kerr_mes_fidelity(4.0, 10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    with pytest.raises(DegenerateInputError, match="is empty"):
+        kerr_mes_fidelity(4.0, 42, cutoff=40)
 
 
 def test_kerr_fidelity_gram_floor():

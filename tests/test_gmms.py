@@ -7,6 +7,7 @@ import pytest
 
 from gmeslab import (
     DomainError,
+    TruncationError,
     f_coefficient,
     gmes_spectrum,
     gmms_distribution,
@@ -73,6 +74,14 @@ def test_thermal_geometric_form(nbar):
 def test_thermal_errors():
     with pytest.raises(DomainError):
         thermal_distribution(-0.1)
+
+
+@pytest.mark.parametrize("nbar", [2e14, 1e15, 1e300, 1.7e308])
+def test_thermal_past_the_cap(nbar):
+    # here log nbar - log1p(nbar) rounds to 0, so log q needs -log1p(1/nbar),
+    # and the cap is checked before the cutoff guess log(tol)/log q
+    with pytest.raises(TruncationError, match="hard cap"):
+        thermal_distribution(nbar)
 
 
 # ---------------------------------------------------------------------------
