@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -155,9 +156,20 @@ def cmd_fidelity(args) -> int:
     return 0
 
 
+def _unit(a) -> np.ndarray:
+    """``a`` over its Euclidean norm, for any finite nonzero ``a``."""
+    # a is first scaled exactly, by the power of two that puts max |a_i| in
+    # [0.5, 1), so its norm neither overflows nor is subnormal.  math.hypot
+    # scales by the same power internally, so wherever a / hypot(a) is finite
+    # and normal the quotient is the same bit for bit.
+    e = -math.frexp(max(map(abs, a)))[1]
+    a = [math.ldexp(x, e) for x in a]
+    return np.divide(a, math.hypot(*a))
+
+
 def _bell(a) -> float:
     """Closed-form Bell maximum of the qutrit state with Schmidt vector along ``a``."""
-    return bell_max_analytic(QutritState(np.divide(a, math.hypot(*a)))).value
+    return bell_max_analytic(QutritState(_unit(a))).value
 
 
 def cmd_fig1(args) -> int:
@@ -210,11 +222,9 @@ def cmd_fig2(args) -> int:
 def cmd_bell_oracle(args) -> int:
     if args.a is None:
         raise DomainError("bell-oracle requires --a A0 A1 A2")
-    coeffs = np.asarray(args.a, dtype=float)
-    norm = float(np.linalg.norm(coeffs))
-    if not np.all(np.isfinite(coeffs)) or norm == 0.0:
+    if not all(map(math.isfinite, args.a)) or not any(args.a):
         raise DomainError("coefficients must be finite and not all zero")
-    state = QutritState(coeffs / norm)
+    state = QutritState(_unit(args.a))
     analytic = bell_max_analytic(state)
     result = maximize_bell(state, restarts=args.restarts, seed=args.seed)
     gap = abs(result.value - analytic.value)
@@ -273,7 +283,9 @@ def _int_list(text: str):
     return values
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parsing leaves the parsers unchanged
     parser = argparse.ArgumentParser(
         prog="gmeslab",
         description="Schmidt spectra, Bell values and fidelities for Gaussian-mode entangled states.",

@@ -78,17 +78,51 @@ def _check_tol(tol: float) -> None:
 
 # ---------------------------------------------------------------------------
 # Poisson tail primitives.  f(n, b) = P(X > n)/b^2 with X ~ Poisson(b^2).
-# Every tail is a sum of pmf terms from one kernel, _poisson_pmf, taken in log
-# space so that no term underflows before it is negligible.  A tail that is at
+# Every tail is a sum of pmf terms from one kernel, _pmf_terms, taken in log
+# space so that no term underflows before it is negligible, and run only on
+# the support _pmf_support, outside which it rounds to 0.0.  A tail that is at
 # least ~0.4 (n below the mean) is 1 minus the terms up to n; a smaller one is
 # the sum of the terms past n, so the far tail stays relative-accurate.
 # ---------------------------------------------------------------------------
 
 
-def _poisson_pmf(start: int, stop: int, lam: float) -> np.ndarray:
-    """P(X = k) for k = start..stop-1 and X ~ Poisson(lam > 0)."""
+_SQRT_1500 = math.sqrt(1500.0)
+
+
+def _pmf_support(lam: float) -> tuple[int, int]:
+    """[lo, hi): the k outside it have exp(k log lam - lam - gammaln(k+1)) == 0.0.
+
+    By the Chernoff bound log P(X = k) <= -lam h(k/lam), h(x) = x log x - x + 1,
+    with h(x) >= (1 - x)^2/2 below the mean and h(x) >= (x - 1)^2/(2x) above it,
+    every log-pmf outside [lo, hi) is below -750.  exp rounds anything below
+    -745.13 to 0.0, and the log-pmf itself rounds by about lam log(lam) 2^-52,
+    ~1e-9 at lam = 2e5, so the margin of ~5 holds for every lam below ~1e13.
+    """
+    spread = _SQRT_1500 * math.sqrt(lam)  # sqrt(1500 lam), finite for every finite lam
+    lo = max(0, math.floor(lam - spread))
+    hi = math.ceil(lam + 750.0 + math.hypot(750.0, spread)) + 1
+    return lo, hi
+
+
+def _pmf_terms(start: int, stop: int, lam: float) -> np.ndarray:
+    """The kernel exp(k log lam - lam - gammaln(k+1)) for k = start..stop-1."""
     k = np.arange(start, stop, dtype=float)
     return np.exp(k * math.log(lam) - lam - gammaln(k + 1.0))
+
+
+def _poisson_pmf(start: int, stop: int, lam: float) -> np.ndarray:
+    """P(X = k) for k = start..stop-1 and X ~ Poisson(lam > 0).
+
+    The kernel runs only on the support of ``_pmf_support``; the terms outside
+    it, which it would round to 0.0, are filled as 0.0 directly.
+    """
+    lo, hi = _pmf_support(lam)
+    if lo <= start and stop <= hi:
+        return _pmf_terms(start, stop, lam)
+    lo, hi = min(max(lo, start), stop), min(max(hi, start), stop)
+    padded = np.zeros(stop - start)
+    padded[lo - start : hi - start] = _pmf_terms(lo, hi, lam)
+    return padded
 
 
 def _tail_window(lam: float) -> int:
@@ -119,13 +153,27 @@ def poisson_tail(n: int, lam: float) -> float:
 
 
 def _poisson_tail_array(lam: float, nmax: int) -> np.ndarray:
-    """P(X > n) for n = 0..nmax, relative-accurate in both tails."""
-    pmf = _poisson_pmf(0, nmax + 1 + _tail_window(lam), lam)
-    cdf = np.cumsum(pmf[: nmax + 1])
+    """P(X > n) for n = 0..nmax, relative-accurate in both tails.
+
+    Only the pmf support [lo, hi) is summed: below it the CDF is exactly 0.0,
+    so the tail is 1.0, and from hi - 1 on no term is left, so it is 0.0.  The
+    cumulative sums are sequential and adding 0.0 is exact, so every value is
+    the one that sums over all k up to nmax + window would give.
+    """
+    lo, hi = _pmf_support(lam)
+    if nmax < lo:
+        return np.ones(nmax + 1)
+    hi = min(hi, nmax + 1 + _tail_window(lam))
+    stop = min(hi - 1, nmax + 1)
+    pmf = _pmf_terms(lo, hi, lam)
+    cdf = np.cumsum(pmf[: stop - lo])
     lower = 1.0 - np.minimum(cdf, 1.0)
     # above[n] = sum_{k > n} pmf[k], summed from the small end.
-    above = np.cumsum(pmf[:0:-1])[::-1][: nmax + 1]
-    return np.where(cdf <= 0.5, lower, above)
+    above = np.cumsum(pmf[:0:-1])[::-1][: stop - lo]
+    tail = np.where(cdf <= 0.5, lower, above)
+    if (lo, stop) == (0, nmax + 1):
+        return tail
+    return np.concatenate((np.ones(lo), tail, np.zeros(nmax + 1 - stop)))
 
 
 def _poisson_mean(b: float) -> float:
@@ -147,6 +195,22 @@ def f_coefficient(n: int, b: float) -> float:
     return poisson_tail(int(n), lam) / lam
 
 
+def _fsum_repeated_head(values: np.ndarray, head: int) -> float:
+    """math.fsum(values) where the first ``head`` < 2^26 values equal values[0].
+
+    The head enters as head*v_hi + head*v_lo from a Veltkamp split of
+    v = values[0] into two halves of at most 26 bits.  Both products are exact,
+    so the correctly rounded sum is the same, from len(values) - head + 2 terms.
+    """
+    terms = values[head:].tolist()
+    if head:
+        v = float(values[0])
+        scaled = 134217729.0 * v  # (2^27 + 1) v
+        v_hi = scaled - (scaled - v)
+        terms += (head * v_hi, head * (v - v_hi))
+    return math.fsum(terms)
+
+
 def bounded_f_profile(b: float, tol: float = DEFAULT_TOL, cap: int = MAX_CUTOFF):
     """f(n, b) for n = 0..M with M the first index where the mass reaches 1 - tol.
 
@@ -166,7 +230,9 @@ def bounded_f_profile(b: float, tol: float = DEFAULT_TOL, cap: int = MAX_CUTOFF)
         cut = int(np.searchsorted(csum, 1.0 - tol))
         if cut <= nmax:
             values = f[: cut + 1].copy()
-            return values, max(0.0, 1.0 - math.fsum(values.tolist()))
+            # the f(n, b) below the pmf support all equal 1/b^2
+            head = min(_pmf_support(lam)[0], cut + 1, 2**26)
+            return values, max(0.0, 1.0 - _fsum_repeated_head(values, head))
         reachable = nmax < cap
         nmax *= 2
     raise TruncationError(f"cutoff for b={b} at tol={tol} exceeds the hard cap {cap}")

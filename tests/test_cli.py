@@ -492,6 +492,38 @@ def test_bell_oracle_gap_exit_code(capsys, monkeypatch):
     assert float(rows[0][2]) > 1e-3  # the gap column
 
 
+@pytest.mark.parametrize("a", [("1e308",) * 3, ("1.7e308",) * 3])
+def test_bell_oracle_past_the_float_range_of_the_norm(capsys, a):
+    # |a| is 1.7e308 and 2.9e308: the squared norm overflows at both, the norm at the second
+    code, out, err = run(capsys, "bell-oracle", "--a", *a, "--restarts", "2")
+    assert (code, err) == (0, "")
+    assert rows_of(out)[1][0][0] == "2.87293405117"
+
+
+def test_bell_oracle_subnormal_direction(capsys):
+    # the squared norm 1e-640 underflows, the direction (1, 0, 0) does not
+    code, out, err = run(capsys, "bell-oracle", "--a", "1e-320", "0", "0", "--restarts", "2")
+    assert (code, err) == (0, "")
+    assert rows_of(out)[1][0][:3] == ["0.0", "0.0", "0.0"]
+
+
+@pytest.mark.parametrize("a", [("nan", "1", "1"), ("1", "inf", "1"), ("0", "0", "inf")])
+def test_bell_oracle_rejects_non_finite(capsys, a):
+    code, out, err = run(capsys, "bell-oracle", "--a", *a)
+    assert (code, out) == (2, "")
+    assert "finite" in err and "Warning" not in err
+
+
+@given(st.lists(st.floats(1.0, 2.0, exclude_max=True), min_size=3, max_size=3),
+       st.lists(st.integers(0, 2**20), min_size=3, max_size=3).filter(any))
+def test_unit_is_scale_free_past_the_float_range(big, small):
+    # the norm is taken after exact scaling by a power of two, so a direction
+    # whose norm overflows, or is subnormal, keeps every bit
+    unit = gmeslab.cli._unit
+    assert np.array_equal(unit(np.ldexp(big, 1023)), unit(big))
+    assert np.array_equal(unit(np.ldexp(small, -1074)), unit(small))
+
+
 # ---------------------------------------------------------------------------
 # kerr
 # ---------------------------------------------------------------------------
@@ -672,6 +704,29 @@ def test_config_rejects_bad_files(capsys, tmp_path, content):
     code, _, err = run(capsys, "spectrum", "--family", "tmsv", "--config", str(cfg))
     assert code == 2
     assert "error:" in err
+
+
+def fresh_run(capsys, *args):
+    gmeslab.cli._build_parser.cache_clear()
+    return run(capsys, *args)
+
+
+def test_parser_is_built_once_and_keeps_no_values(capsys):
+    assert gmeslab.cli._build_parser() is gmeslab.cli._build_parser()
+    assert run(capsys, "fig2", "--variant", "c", "--b", "20", "--steps", "5")[0] == 0
+    after = run(capsys, "fig2", "--variant", "c", "--steps", "5")
+    assert after == fresh_run(capsys, "fig2", "--variant", "c", "--steps", "5")
+    assert after == run(capsys, "fig2", "--variant", "c", "--steps", "5", "--b", "15")
+
+
+def test_config_values_do_not_outlive_their_call(capsys, tmp_path):
+    cfg = tmp_path / "fig2.cfg"
+    cfg.write_text("variant=c\nb=20\nsteps=5\n")
+    with_config = run(capsys, "fig2", "--config", str(cfg))
+    assert with_config == run(capsys, "fig2", "--variant", "c", "--b", "20", "--steps", "5")
+    after = run(capsys, "fig2", "--variant", "c", "--steps", "5")
+    assert after == fresh_run(capsys, "fig2", "--variant", "c", "--steps", "5")
+    assert after != with_config
 
 
 def test_config_missing_file(capsys, tmp_path):

@@ -1,14 +1,15 @@
 """Spectrum constructors, the Poisson-tail kernel and the mean-photon solvers."""
 
 import math
+import sys
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import pdtrc
+from scipy.special import gammaln, pdtrc
 
 from gmeslab import states
 from gmeslab import (
@@ -142,6 +143,100 @@ def test_poisson_tail_skips_underflowing_window(monkeypatch):
             got = poisson_tail(n, lam)
             assert (calls == []) == (n >= cut)
             assert got == float(pmf(n + 1, n + 1 + states._tail_window(lam), lam)[::-1].sum())
+
+
+# ---------------------------------------------------------------------------
+# The pmf support: the kernel runs only where a term can be a nonzero double
+# ---------------------------------------------------------------------------
+
+SUPPORT_RADII = (60.0, 120.0, 200.0, 300.0, 350.0, 420.0)
+
+
+def reference_pmf(k, lam):
+    """The kernel's formula on every k given."""
+    return np.exp(k * math.log(lam) - lam - gammaln(k + 1.0))
+
+
+def reference_tail_array(lam, nmax):
+    """P(X > n), n = 0..nmax, from cumulative sums over every k up to nmax + window."""
+    pmf = reference_pmf(np.arange(nmax + 1 + states._tail_window(lam), dtype=float), lam)
+    cdf = np.cumsum(pmf[: nmax + 1])
+    lower = 1.0 - np.minimum(cdf, 1.0)
+    above = np.cumsum(pmf[:0:-1])[::-1][: nmax + 1]
+    return np.where(cdf <= 0.5, lower, above)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, 2.5e5, exclude_min=True))
+@example(1490.0)  # lo = 0 just below lam = 1500, positive above it
+@example(1500.0)
+@example(60.0**2)
+@example(120.0**2)
+@example(200.0**2)
+@example(300.0**2)
+@example(350.0**2)
+@example(420.0**2)
+def test_pmf_support_is_exact(lam):
+    lo, hi = states._pmf_support(lam)
+    edges = np.array([k for k in (*range(lo - 3, lo), *range(hi, hi + 4)) if k >= 0], dtype=float)
+    assert np.all(reference_pmf(edges, lam) == 0.0)
+    end = max(hi + 10, int(lam + 12.0 * math.sqrt(lam) + 31.0) + states._tail_window(lam))
+    full = reference_pmf(np.arange(end, dtype=float), lam)
+    # windows below, across, inside and past the support, as poisson_tail takes them
+    for start, stop in ((0, end), (0, lo + 1), (lo, hi), (max(0, lo - 5), hi + 5), (hi, hi + 10),
+                        (lo // 2, lo // 2 + 3), (lo + 1, lo + 1)):
+        assert np.array_equal(bits(states._poisson_pmf(start, stop, lam)), bits(full[start:stop]))
+    # the first array of bounded_f_profile and the one of mes_overlaps, and
+    # two that end below the support, as a small cap of bounded_f_profile does
+    for nmax in (int(lam + 12.0 * math.sqrt(lam) + 30.0), int(lam + states._tail_window(lam)),
+                 max(0, lo - 1), lo // 2):
+        want = reference_tail_array(lam, nmax)
+        assert np.array_equal(bits(states._poisson_tail_array(lam, nmax)), bits(want))
+
+
+def test_pmf_support_at_the_top_of_the_float_range():
+    lo, hi = states._pmf_support(sys.float_info.max)
+    assert 0 < lo < hi
+    assert [poisson_tail(n, sys.float_info.max) for n in range(3)] == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("b", SUPPORT_RADII)
+def test_split_fsum_equals_fsum(b):
+    lam = b * b
+    f = states._poisson_tail_array(lam, int(lam + 12.0 * b + 30.0)) / lam
+    head = states._pmf_support(lam)[0]
+    assert head > 0 and np.all(f[:head] == f[0])
+    for size in (head, head + 1, head + 1000, f.size):
+        values = f[:size]
+        assert states._fsum_repeated_head(values, head).hex() == math.fsum(values.tolist()).hex()
+
+
+def test_the_kernel_runs_on_the_support_only(monkeypatch):
+    terms = []
+
+    def spy(x):
+        terms.append(np.size(x))
+        return gammaln(x)
+
+    monkeypatch.setattr(states, "gammaln", spy)
+    gmes_spectrum(350.0)
+    # every k up to the cutoff plus the window would be 140,791 terms
+    assert 0 < sum(terms) <= 30_000
+    # a scalar tail below the mean starts its window 70 sqrt(lam) below the
+    # mean, and the support 38.7 sqrt(lam) below it
+    terms.clear()
+    lam = 1.6e5
+    n = int(lam - 30.0 * math.sqrt(lam))
+    poisson_tail(n, lam)
+    assert terms == [n + 1 - states._pmf_support(lam)[0]]
+    # a tail array that ends below the support evaluates no term at all
+    terms.clear()
+    assert np.array_equal(states._poisson_tail_array(1e4, 1500), np.ones(1501))
+    assert terms == []
 
 
 # ---------------------------------------------------------------------------
