@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -283,9 +282,7 @@ def _int_list(text: str):
     return values
 
 
-@functools.cache
 def _build_parser():
-    # built once per process: parsing leaves the parsers unchanged
     parser = argparse.ArgumentParser(
         prog="gmeslab",
         description="Schmidt spectra, Bell values and fidelities for Gaussian-mode entangled states.",

@@ -706,16 +706,9 @@ def test_config_rejects_bad_files(capsys, tmp_path, content):
     assert "error:" in err
 
 
-def fresh_run(capsys, *args):
-    gmeslab.cli._build_parser.cache_clear()
-    return run(capsys, *args)
-
-
-def test_parser_is_built_once_and_keeps_no_values(capsys):
-    assert gmeslab.cli._build_parser() is gmeslab.cli._build_parser()
+def test_defaults_do_not_leak_between_calls(capsys):
     assert run(capsys, "fig2", "--variant", "c", "--b", "20", "--steps", "5")[0] == 0
     after = run(capsys, "fig2", "--variant", "c", "--steps", "5")
-    assert after == fresh_run(capsys, "fig2", "--variant", "c", "--steps", "5")
     assert after == run(capsys, "fig2", "--variant", "c", "--steps", "5", "--b", "15")
 
 
@@ -725,7 +718,7 @@ def test_config_values_do_not_outlive_their_call(capsys, tmp_path):
     with_config = run(capsys, "fig2", "--config", str(cfg))
     assert with_config == run(capsys, "fig2", "--variant", "c", "--b", "20", "--steps", "5")
     after = run(capsys, "fig2", "--variant", "c", "--steps", "5")
-    assert after == fresh_run(capsys, "fig2", "--variant", "c", "--steps", "5")
+    assert after == run(capsys, "fig2", "--variant", "c", "--steps", "5", "--b", "15")
     assert after != with_config
 
 
