@@ -30,6 +30,8 @@ from .states import (
 
 _GAP_LIMIT = 1e-3
 
+_FAMILY_KEYS = {"tmsv": "r", "gmes": "b", "mes": "N"}
+
 # Largest sweep; more steps than this is taken for a typo, not a request.
 _MAX_STEPS = 1_000_000
 
@@ -103,7 +105,7 @@ def _parse_state_spec(spec: str):
     family, sep, rest = spec.partition(":")
     family = family.strip()
     usage = "state spec must look like tmsv:r=1.0, gmes:b=15 or mes:N=200"
-    if not sep or family not in ("tmsv", "gmes", "mes"):
+    if not sep or family not in _FAMILY_KEYS:
         raise DomainError(f"{usage}, got {spec!r}")
     fields = {}
     for part in rest.split(","):
@@ -111,7 +113,7 @@ def _parse_state_spec(spec: str):
         if not eq or not key.strip():
             raise DomainError(f"{usage}, got {spec!r}")
         fields[key.strip()] = value.strip()
-    expected = {"tmsv": "r", "gmes": "b", "mes": "N"}[family]
+    expected = _FAMILY_KEYS[family]
     if set(fields) != {expected}:
         raise DomainError(f"family {family} takes exactly the key {expected!r}, got {sorted(fields)}")
     try:
@@ -133,7 +135,7 @@ def _spectrum(family: str, value, tol: float, cap: int):
 def cmd_spectrum(args) -> int:
     if args.family is None:
         raise DomainError("spectrum requires --family tmsv, gmes or mes")
-    key = {"tmsv": "r", "gmes": "b", "mes": "N"}[args.family]
+    key = _FAMILY_KEYS[args.family]
     value = getattr(args, key)
     if value is None:
         raise DomainError(f"family {args.family} requires --{key}")
@@ -303,7 +305,7 @@ def _build_parser():
         return p
 
     p = add_command("spectrum", "emit one Schmidt spectrum as CSV rows n,coeff", "tol", "cap")
-    p.add_argument("--family", choices=("tmsv", "gmes", "mes"), default=None)
+    p.add_argument("--family", choices=tuple(_FAMILY_KEYS), default=None)
     p.add_argument("--r", type=float, default=None, help="squeezing parameter (tmsv)")
     p.add_argument("--b", type=float, default=None, help="radial cutoff parameter (gmes)")
     p.add_argument("--N", type=int, default=None, help="dimension (mes)")

@@ -29,9 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, TruncationError
-from .states import MAX_CUTOFF, poisson_tail
-
-_NORM_SLACK = 1e-9
+from .states import MAX_CUTOFF, _check_mass, poisson_tail
 
 # Phase states whose Gram matrix has min/max eigenvalue ratio below this are
 # numerically dependent.
@@ -42,8 +40,8 @@ _GRAM_EIG_FLOOR = 1e-12
 class FockVector:
     """Single-mode state amplitudes over Fock levels 0..cutoff.
 
-    ``loss`` is a declared bound on the squared-norm mass missing from the
-    stored window, so 1 - sum |amps|^2 <= loss.
+    ``loss`` in [0, 1] is a declared bound on the squared-norm mass missing
+    from the stored window, so 1 - sum |amps|^2 <= loss.
     """
 
     amps: np.ndarray
@@ -57,15 +55,7 @@ class FockVector:
             raise DomainError(
                 f"amps must be a vector of length cutoff+1 = {self.cutoff + 1}, got {amps.shape}"
             )
-        if not np.all(np.isfinite(amps)):
-            raise DomainError("amplitudes must be finite")
-        norm_sq = float(np.vdot(amps, amps).real)
-        if norm_sq > 1.0 + _NORM_SLACK:
-            raise DomainError(f"squared norm {norm_sq} exceeds 1")
-        if 1.0 - norm_sq > self.loss + _NORM_SLACK:
-            raise DomainError(
-                f"missing mass {1.0 - norm_sq} exceeds declared truncation loss {self.loss}"
-            )
+        _check_mass(amps, float(np.vdot(amps, amps).real), self.loss)
 
     def norm(self) -> float:
         return math.sqrt(float(np.vdot(self.amps, self.amps).real))
@@ -85,15 +75,7 @@ class TwoModeFock:
         side = self.cutoff + 1
         if amps.shape != (side, side):
             raise DomainError(f"amps must have shape ({side}, {side}), got {amps.shape}")
-        if not np.all(np.isfinite(amps)):
-            raise DomainError("amplitudes must be finite")
-        norm_sq = float(np.vdot(amps, amps).real)
-        if norm_sq > 1.0 + _NORM_SLACK:
-            raise DomainError(f"squared norm {norm_sq} exceeds 1")
-        if 1.0 - norm_sq > self.loss + _NORM_SLACK:
-            raise DomainError(
-                f"missing mass {1.0 - norm_sq} exceeds declared truncation loss {self.loss}"
-            )
+        _check_mass(amps, float(np.vdot(amps, amps).real), self.loss)
 
 
 def default_cutoff(alpha: complex) -> int:

@@ -13,15 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, TruncationError
+from .errors import DomainError
 from .states import (
     DEFAULT_TOL,
     MAX_CUTOFF,
     SchmidtSpectrum,
+    _check_mass,
+    _check_tol,
+    _geometric_cut,
     bounded_f_profile,
 )
-
-_NORM_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -36,17 +37,9 @@ class NumberDistribution:
         object.__setattr__(self, "probs", probs)
         if probs.ndim != 1 or probs.size == 0:
             raise DomainError("probs must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(probs)) or np.any(probs < 0.0):
-            raise DomainError("probabilities must be finite and nonnegative")
-        if not (0.0 <= self.tail_bound <= 1.0):
-            raise DomainError(f"tail_bound {self.tail_bound} outside [0, 1]")
-        total = float(probs.sum())
-        if total > 1.0 + _NORM_SLACK:
-            raise DomainError(f"probabilities sum to {total} > 1")
-        if total < 1.0 - self.tail_bound - _NORM_SLACK:
-            raise DomainError(
-                f"probabilities sum to {total} < 1 - tail_bound = {1.0 - self.tail_bound}"
-            )
+        if np.any(probs < 0.0):
+            raise DomainError("probabilities must be nonnegative")
+        _check_mass(probs, float(probs.sum()), self.tail_bound)
 
     def __len__(self) -> int:
         return int(self.probs.size)
@@ -80,24 +73,16 @@ def thermal_distribution(nbar: float, tol: float = DEFAULT_TOL) -> NumberDistrib
     """
     if not math.isfinite(nbar) or nbar < 0.0:
         raise DomainError(f"nbar must be finite and nonnegative, got {nbar}")
-    if not (0.0 < tol < 1.0):
-        raise ConfigError(f"truncation tolerance must lie in (0, 1), got {tol}")
+    _check_tol(tol)
     if nbar == 0.0:
         return NumberDistribution(np.array([1.0]), 0.0)
     # log q = -log1p(1/nbar) with no cancellation for nbar >= 1 (the difference
     # log nbar - log1p(nbar) rounds to 0 from nbar ~ 2e14); below 1, where
     # 1/nbar can overflow, that difference is itself exact enough.
     log_q = -math.log1p(1.0 / nbar) if nbar >= 1.0 else math.log(nbar) - math.log1p(nbar)
-    # a tail q^(cap+1) above tol puts the cutoff past the cap; checked first,
-    # as log_q rounds to 0 for huge nbar
-    if math.exp((MAX_CUTOFF + 1) * log_q) > tol:
-        raise TruncationError(f"cutoff for nbar={nbar} at tol={tol} exceeds the hard cap {MAX_CUTOFF}")
-    cut = max(0, math.ceil(math.log(tol) / log_q) - 1)
-    while math.exp((cut + 1) * log_q) > tol:
-        cut += 1
+    cut, tail = _geometric_cut(log_q, tol, MAX_CUTOFF, f"nbar={nbar}")
     n = np.arange(cut + 1, dtype=float)
     probs = np.exp(n * log_q - math.log1p(nbar))
-    tail = math.exp((cut + 1) * log_q)
     return NumberDistribution(probs, tail)
 
 
@@ -107,16 +92,7 @@ def purify(d) -> SchmidtSpectrum:
     Accepts a NumberDistribution or a raw probability vector; for a raw
     vector any missing mass 1 - sum(p) is treated as the recorded tail.
     """
-    if isinstance(d, NumberDistribution):
-        probs, tail = d.probs, d.tail_bound
-    else:
-        probs = np.atleast_1d(np.asarray(d, dtype=float))
-        if probs.ndim != 1 or probs.size == 0:
-            raise DomainError("probability vector must be nonempty and 1-d")
-        if not np.all(np.isfinite(probs)) or np.any(probs < 0.0):
-            raise DomainError("probabilities must be finite and nonnegative")
-        total = float(probs.sum())
-        if total > 1.0 + _NORM_SLACK:
-            raise DomainError(f"probabilities sum to {total} > 1")
-        tail = max(0.0, 1.0 - total)
-    return SchmidtSpectrum(np.sqrt(probs), tail, "custom")
+    if not isinstance(d, NumberDistribution):
+        probs = NumberDistribution(d, 1.0).probs  # a tail of 1 checks all but the mass floor
+        d = NumberDistribution(probs, max(0.0, 1.0 - float(probs.sum())))
+    return SchmidtSpectrum(np.sqrt(d.probs), d.tail_bound, "custom")

@@ -29,10 +29,22 @@ MAX_CUTOFF = 200_000
 # Default squared-norm mass allowed beyond the cutoff.
 DEFAULT_TOL = 1e-12
 
-# Slack for floating-point checks of sum(c_n^2) + tail_bound == 1.
+# Slack of the floating-point mass checks in _check_mass, mass + tail == 1.
 _NORM_SLACK = 1e-9
 
 _LABELS = ("tmsv", "gmes", "mes", "custom")
+
+
+def _check_mass(values: np.ndarray, mass: float, tail: float) -> None:
+    """Truncation contract of every stored state: finite values, tail in [0, 1], 1 - tail <= mass <= 1."""
+    if not np.all(np.isfinite(values)):
+        raise DomainError("values must be finite")
+    if not (0.0 <= tail <= 1.0):
+        raise DomainError(f"tail bound {tail} outside [0, 1]")
+    if mass > 1.0 + _NORM_SLACK:
+        raise DomainError(f"mass {mass} exceeds 1")
+    if mass < 1.0 - tail - _NORM_SLACK:
+        raise DomainError(f"mass {mass} below 1 - tail bound = {1.0 - tail}")
 
 
 @dataclass(frozen=True)
@@ -55,17 +67,9 @@ class SchmidtSpectrum:
             raise DomainError(f"unknown spectrum label {self.label!r}")
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise DomainError("coeffs must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(coeffs)) or np.any(coeffs < 0.0):
-            raise DomainError("coeffs must be finite and nonnegative")
-        if not (0.0 <= self.tail_bound <= 1.0):
-            raise DomainError(f"tail_bound {self.tail_bound} outside [0, 1]")
-        norm_sq = float(np.dot(coeffs, coeffs))
-        if norm_sq > 1.0 + _NORM_SLACK:
-            raise DomainError(f"squared norm {norm_sq} exceeds 1")
-        if norm_sq < 1.0 - self.tail_bound - _NORM_SLACK:
-            raise DomainError(
-                f"squared norm {norm_sq} below 1 - tail_bound = {1.0 - self.tail_bound}"
-            )
+        if np.any(coeffs < 0.0):
+            raise DomainError("coeffs must be nonnegative")
+        _check_mass(coeffs, float(np.dot(coeffs, coeffs)), self.tail_bound)
 
     def __len__(self) -> int:
         return int(self.coeffs.size)
@@ -219,12 +223,12 @@ def bounded_f_profile(b: float, tol: float = DEFAULT_TOL, cap: int = MAX_CUTOFF)
     """
     lam = _poisson_mean(b)
     _check_tol(tol)
-    nmax = int(lam + 12.0 * math.sqrt(lam) + 30.0)
+    nmax = min(int(lam + 12.0 * math.sqrt(lam) + 30.0), cap)
     # each f(n, b) is below 1/b^2, so no cutoff within the cap exists when
     # (cap + 1)/b^2 < 1 - tol; that is known before any array is built
-    reachable = (cap + 1) / lam >= 1.0 - tol
-    while reachable:
-        nmax = min(nmax, cap)
+    if (cap + 1) / lam >= 1.0 - tol:
+        # one pass: the f(n, b) past lam + 12 sqrt(lam) + 30 sum to at most 7.4e-37,
+        # below half an ulp of csum near 1 - tol, so no longer profile moves the cut
         f = _poisson_tail_array(lam, nmax) / lam
         csum = np.cumsum(f)
         cut = int(np.searchsorted(csum, 1.0 - tol))
@@ -233,9 +237,22 @@ def bounded_f_profile(b: float, tol: float = DEFAULT_TOL, cap: int = MAX_CUTOFF)
             # the f(n, b) below the pmf support all equal 1/b^2
             head = min(_pmf_support(lam)[0], cut + 1, 2**26)
             return values, max(0.0, 1.0 - _fsum_repeated_head(values, head))
-        reachable = nmax < cap
-        nmax *= 2
+        if nmax < cap:
+            raise TruncationError(f"no cutoff for b={b} at tol={tol}: f(n, b) summed up to n = {nmax} is "
+                                  f"{float(csum[-1])!r} < 1 - tol, short by rounding, as the rest is below 7.4e-37")
     raise TruncationError(f"cutoff for b={b} at tol={tol} exceeds the hard cap {cap}")
+
+
+def _geometric_cut(log_q: float, tol: float, cap: int, what: str) -> tuple[int, float]:
+    """(M, q^(M+1)) for the least M <= cap with geometric tail q^(M+1) <= tol, q = e^log_q."""
+    # checked first, as log_q = 2 log tanh r rounds to 0 for r > 372 and the seed
+    # would divide by it; ``what`` names the state's parameter in the error
+    if math.exp((cap + 1) * log_q) > tol:
+        raise TruncationError(f"cutoff for {what} at tol={tol} exceeds the hard cap {cap}")
+    cut = max(0, math.ceil(math.log(tol) / log_q) - 1)
+    while math.exp((cut + 1) * log_q) > tol:
+        cut += 1
+    return cut, math.exp((cut + 1) * log_q)
 
 
 def _log_tanh(r: float) -> float:
@@ -263,16 +280,9 @@ def tmsv_spectrum(r: float, tol: float = DEFAULT_TOL, cap: int = MAX_CUTOFF) -> 
     if r == 0.0:
         return SchmidtSpectrum(np.array([1.0]), 0.0, "tmsv")
     log_t = _log_tanh(r)
-    # a tail t^(2(cap+1)) above tol puts the cutoff past the cap; checked
-    # first, as log_t rounds to 0 for r > 372
-    if math.exp(2.0 * (cap + 1) * log_t) > tol:
-        raise TruncationError(f"cutoff for r={r} at tol={tol} exceeds the hard cap {cap}")
-    cut = max(0, math.ceil(math.log(tol) / (2.0 * log_t)) - 1)
-    while math.exp(2.0 * (cut + 1) * log_t) > tol:
-        cut += 1
+    cut, tail = _geometric_cut(2.0 * log_t, tol, cap, f"r={r}")
     n = np.arange(cut + 1, dtype=float)
     coeffs = np.exp(n * log_t - _log_cosh(r))
-    tail = math.exp(2.0 * (cut + 1) * log_t)
     return SchmidtSpectrum(coeffs, tail, "tmsv")
 
 

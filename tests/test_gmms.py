@@ -121,5 +121,8 @@ def test_purified_thermal_is_tmsv(r):
 
 
 def test_purify_rejects_negatives():
-    with pytest.raises(DomainError):
-        purify([0.5, -0.1, 0.6])
+    # and every other raw vector that NumberDistribution refuses: nan, an
+    # inf - inf pair, 2-d, empty, and a sum above 1
+    for probs in ([0.5, -0.1, 0.6], [0.5, math.nan], [math.inf, -math.inf], [[0.5], [0.5]], [], [0.7, 0.7]):
+        with pytest.raises(DomainError):
+            purify(probs)

@@ -15,8 +15,11 @@ from gmeslab import states
 from gmeslab import (
     ConfigError,
     DomainError,
+    FockVector,
+    NumberDistribution,
     SchmidtSpectrum,
     TruncationError,
+    TwoModeFock,
     f_coefficient,
     gmes_spectrum,
     fidelity,
@@ -411,6 +414,34 @@ def test_gmes_errors():
         gmes_spectrum(25.0, cap=100)
 
 
+@pytest.mark.parametrize(
+    "b,tol,cap",
+    [(0.5, 1e-12, 200_000), (15.0, 1e-12, 200_000), (60.0, 1e-3, 200_000), (300.0, 1e-12, 200_000),
+     (400.0, 1e-12, 200_000), (420.0, 1e-12, 200_000), (15.0, 1e-3, 230)],
+)
+def test_f_profile_is_one_pass(monkeypatch, b, tol, cap):
+    # the f(n, b) past b^2 + 12 b + 30 sum to at most 7.4e-37, so a second,
+    # longer profile could never move the cutoff: one profile is built, also
+    # at b = 300 and 400, where the running sum stays below 1 - tol
+    calls = []
+    tail_array = states._poisson_tail_array
+
+    def spy(lam, nmax):
+        calls.append(nmax)
+        return tail_array(lam, nmax)
+
+    monkeypatch.setattr(states, "_poisson_tail_array", spy)
+    nmax = min(int(b * b + 12.0 * b + 30.0), cap)
+    try:
+        assert states.bounded_f_profile(b, tol, cap)[0].size <= nmax + 1
+    except TruncationError as exc:
+        # the hard cap only where the profile reached it; below the cap the
+        # error names the summed mass instead (b = 300 and 400 at tol 1e-12)
+        assert ("hard cap" in str(exc)) == (nmax == cap)
+        assert nmax == cap or f"summed up to n = {nmax} is " in str(exc)
+    assert calls == [nmax]
+
+
 # ---------------------------------------------------------------------------
 # MES spectra
 # ---------------------------------------------------------------------------
@@ -606,6 +637,30 @@ def test_solve_b_errors():
 # ---------------------------------------------------------------------------
 # SchmidtSpectrum validation
 # ---------------------------------------------------------------------------
+
+
+# each stored state built from one value carrying the given mass
+CONTRACT_STATES = {
+    "SchmidtSpectrum": lambda mass, tail: SchmidtSpectrum(np.array([math.sqrt(mass)]), tail),
+    "NumberDistribution": lambda mass, tail: NumberDistribution(np.array([mass]), tail),
+    "FockVector": lambda mass, tail: FockVector(np.array([math.sqrt(mass)]), 0, tail),
+    "TwoModeFock": lambda mass, tail: TwoModeFock(np.array([[math.sqrt(mass)]]), 0, tail),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CONTRACT_STATES))
+@pytest.mark.parametrize(
+    "mass,tail",
+    [(1.0, -0.1), (1.0, 1.1), (1.0, math.nan), (math.nan, 0.0), (math.inf, 0.0),
+     (1.0 + 10.0 * states._NORM_SLACK, 0.0), (0.5, 0.5 - 10.0 * states._NORM_SLACK)],
+)
+def test_mass_contract(kind, mass, tail):
+    # finite values, a tail in [0, 1] and 1 - tail <= mass <= 1, for all four
+    build = CONTRACT_STATES[kind]
+    with pytest.raises(DomainError):
+        build(mass, tail)
+    for mass, tail in ((1.0, 0.0), (0.5, 0.5), (0.0, 1.0), (1.0 + 0.5 * states._NORM_SLACK, 0.0)):
+        build(mass, tail)
 
 
 def test_spectrum_rejects_bad_inputs():
