@@ -21,10 +21,11 @@ from .metrics import QutritState, bell_max_analytic, fidelity
 from .states import (
     DEFAULT_TOL,
     MAX_CUTOFF,
+    _check_cap,
+    _poisson_tail_array,
     gmes_spectrum,
     mes_overlaps,
     mes_spectrum,
-    poisson_tail,
     tmsv_spectrum,
 )
 
@@ -57,8 +58,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.spacing not in ("linear", "log"):
             raise ConfigError(f"spacing must be linear or log, got {self.spacing!r}")
-        if not (self.start < self.stop):
-            raise ConfigError(f"sweep needs start < stop, got [{self.start}, {self.stop}]")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop) and self.start < self.stop):
+            raise ConfigError(f"sweep needs finite start < stop, got [{self.start}, {self.stop}]")
         if not (2 <= self.steps <= _MAX_STEPS):
             raise ConfigError(f"sweep needs 2 to {_MAX_STEPS} steps, got {self.steps}")
 
@@ -127,6 +128,7 @@ def _spectrum(family: str, value, tol: float, cap: int):
         return tmsv_spectrum(value, tol, cap)
     if family == "gmes":
         return gmes_spectrum(value, tol, cap)
+    _check_cap(cap)
     if value > cap:
         raise TruncationError(f"mes dimension {value} exceeds the hard cap {cap}")
     return mes_spectrum(value)
@@ -184,7 +186,7 @@ def cmd_fig1(args) -> int:
             raise DomainError(f"fig1 needs nbar >= 1e-150, where P(X > 1) ~ 2 nbar^2 is still a normal float, "
                               f"and 2 nbar finite, got nbar={_fmt(nbar)}")
         t = math.sqrt(nbar / (1.0 + nbar))
-        bell_gmes = _bell([math.sqrt(poisson_tail(n, lam)) for n in range(3)])
+        bell_gmes = _bell(np.sqrt(_poisson_tail_array(lam, 2)))
         rows.append((nbar, bell_gmes, _bell([1.0, t, t * t])))
     _emit(("nbar", "bell_gmes", "bell_tmsv"), rows, args.out)
     return 0
@@ -208,7 +210,10 @@ def cmd_fig2(args) -> int:
         for value in cfg.grid():
             x = value
             if use_nbar:
-                x = value * value / 2.0 if family == "gmes" else math.sinh(value) ** 2
+                try:
+                    x = value * value / 2.0 if family == "gmes" else math.sinh(value) ** 2
+                except OverflowError:
+                    raise DomainError(f"fig2 --x nbar needs a finite sinh(r)^2, got r={_fmt(value)}") from None
             rows.append((x, *mes_overlaps(family, value, dims, args.cap)))
         xname = "nbar" if use_nbar else ("b" if family == "gmes" else "r")
         _emit((xname, *[f"fid_N{dim}" for dim in dims]), rows, args.out)

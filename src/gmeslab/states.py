@@ -80,6 +80,12 @@ def _check_tol(tol: float) -> None:
         raise ConfigError(f"truncation tolerance must lie in (0, 1), got {tol}")
 
 
+def _check_cap(cap: int) -> None:
+    # a cap past MAX_CUTOFF would let a cutoff search or its arrays run unbounded
+    if not (0 <= cap <= MAX_CUTOFF):
+        raise ConfigError(f"cutoff cap must lie in [0, {MAX_CUTOFF}], got {cap}")
+
+
 # ---------------------------------------------------------------------------
 # Poisson tail primitives.  f(n, b) = P(X > n)/b^2 with X ~ Poisson(b^2).
 # Every tail is a sum of pmf terms from one kernel, _pmf_terms, taken in log
@@ -114,21 +120,6 @@ def _pmf_terms(start: int, stop: int, lam: float) -> np.ndarray:
     return np.exp(k * math.log(lam) - lam - gammaln(k + 1.0))
 
 
-def _poisson_pmf(start: int, stop: int, lam: float) -> np.ndarray:
-    """P(X = k) for k = start..stop-1 and X ~ Poisson(lam > 0).
-
-    The kernel runs only on the support of ``_pmf_support``; the terms outside
-    it, which it would round to 0.0, are filled as 0.0 directly.
-    """
-    lo, hi = _pmf_support(lam)
-    if lo <= start and stop <= hi:
-        return _pmf_terms(start, stop, lam)
-    lo, hi = min(max(lo, start), stop), min(max(hi, start), stop)
-    padded = np.zeros(stop - start)
-    padded[lo - start : hi - start] = _pmf_terms(lo, hi, lam)
-    return padded
-
-
 def _tail_window(lam: float) -> int:
     # Away from the mean the pmf falls at least like exp(-j^2 / (4 lam)) over
     # j steps while j < lam, and geometrically after that.  So the terms past
@@ -145,39 +136,34 @@ def poisson_tail(n: int, lam: float) -> float:
         return 1.0
     if lam == 0.0:
         return 0.0
-    window = _tail_window(lam)
-    if n + 1 <= lam:
-        # CDF(n) is at most ~0.6 here, so the subtraction loses no precision.
-        return 1.0 - min(1.0, float(_poisson_pmf(max(0, n + 1 - window), n + 1, lam).sum()))
-    if (n + 1) * math.log(lam) - lam - math.lgamma(n + 2) < -746.0:
-        # exp underflows to 0 below -745.14, and past the mean every later term
-        # is smaller than this first one, so the sum is exactly 0.0
-        return 0.0
-    return float(_poisson_pmf(n + 1, n + 1 + window, lam)[::-1].sum())
+    # P(X > n) = P(X > floor(n)) for a real n >= 0
+    return float(_poisson_tail_array(lam, int(n), int(n))[0])
 
 
-def _poisson_tail_array(lam: float, nmax: int) -> np.ndarray:
-    """P(X > n) for n = 0..nmax, relative-accurate in both tails.
+def _poisson_tail_array(lam: float, nmax: int, nmin: int = 0) -> np.ndarray:
+    """P(X > n) for n = nmin..nmax and X ~ Poisson(lam > 0), relative-accurate in both tails.
 
-    Only the pmf support [lo, hi) is summed: below it the CDF is exactly 0.0,
-    so the tail is 1.0, and from hi - 1 on no term is left, so it is 0.0.  The
-    cumulative sums are sequential and adding 0.0 is exact, so every value is
-    the one that sums over all k up to nmax + window would give.
+    Below the mean (n + 1 <= lam) the tail, at least ~0.4 there, is 1 minus the
+    terms from the support's low end lo up to n; from the mean on it is the sum
+    of the terms past n, from the far end min(hi, nmax + 1 + window) down.  Both
+    sums are sequential, so the value at n does not depend on nmin, and on nmax
+    only through terms past the window, below 1e-150 of the sum.  Below lo the
+    tail is 1.0, and from the last term on 0.0.
     """
     lo, hi = _pmf_support(lam)
-    if nmax < lo:
-        return np.ones(nmax + 1)
-    hi = min(hi, nmax + 1 + _tail_window(lam))
-    stop = min(hi - 1, nmax + 1)
-    pmf = _pmf_terms(lo, hi, lam)
-    cdf = np.cumsum(pmf[: stop - lo])
-    lower = 1.0 - np.minimum(cdf, 1.0)
-    # above[n] = sum_{k > n} pmf[k], summed from the small end.
-    above = np.cumsum(pmf[:0:-1])[::-1][: stop - lo]
-    tail = np.where(cdf <= 0.5, lower, above)
-    if (lo, stop) == (0, nmax + 1):
-        return tail
-    return np.concatenate((np.ones(lo), tail, np.zeros(nmax + 1 - stop)))
+    end = min(hi, nmax + 1 + _tail_window(lam))
+    mid = min(max(math.floor(lam), nmin), nmax + 1)  # the first n of the upper sum
+    top = min(end - 1, nmax + 1)  # from n = end - 1 on no term is left above n
+    first = max(lo, nmin)
+    tail = np.zeros(nmax + 1 - nmin)
+    tail[: first - nmin] = 1.0
+    if first < mid:
+        cdf = np.cumsum(_pmf_terms(lo, mid, lam))[first - lo :]
+        tail[first - nmin : mid - nmin] = 1.0 - np.minimum(cdf, 1.0)
+    if mid < top:
+        above = np.cumsum(_pmf_terms(mid + 1, end, lam)[::-1])[::-1]
+        tail[mid - nmin : top - nmin] = above[: top - mid]
+    return tail
 
 
 def _poisson_mean(b: float) -> float:
@@ -223,6 +209,7 @@ def bounded_f_profile(b: float, tol: float = DEFAULT_TOL, cap: int = MAX_CUTOFF)
     """
     lam = _poisson_mean(b)
     _check_tol(tol)
+    _check_cap(cap)
     nmax = min(int(lam + 12.0 * math.sqrt(lam) + 30.0), cap)
     # each f(n, b) is below 1/b^2, so no cutoff within the cap exists when
     # (cap + 1)/b^2 < 1 - tol; that is known before any array is built
@@ -277,6 +264,7 @@ def tmsv_spectrum(r: float, tol: float = DEFAULT_TOL, cap: int = MAX_CUTOFF) -> 
     if not math.isfinite(r) or r < 0.0:
         raise DomainError(f"squeezing parameter r must be nonnegative, got {r}")
     _check_tol(tol)
+    _check_cap(cap)
     if r == 0.0:
         return SchmidtSpectrum(np.array([1.0]), 0.0, "tmsv")
     log_t = _log_tanh(r)
@@ -312,6 +300,7 @@ def mes_overlaps(family: str, value: float, dims, cap: int = MAX_CUTOFF) -> list
       exceeds ``cap``);
     * "mes", value M: min(N, M) / sqrt(N M).
     """
+    _check_cap(cap)
     # every dimension must convert to a float, as sqrt(N) does
     sizes = [*dims, value] if family == "mes" else list(dims)
     if not all(1 <= N <= sys.float_info.max and int(N) == N for N in sizes):

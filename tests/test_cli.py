@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,7 +22,7 @@ from scipy.special import pdtrc
 import gmeslab.cli
 import gmeslab.crosskerr
 import gmeslab.states
-from gmeslab import fidelity, gmes_spectrum, mes_spectrum, tmsv_spectrum
+from gmeslab import ConfigError, fidelity, gmes_spectrum, mes_spectrum, tmsv_spectrum
 from gmeslab.cli import SweepConfig, main
 
 
@@ -123,6 +124,26 @@ def test_spectrum_gmes_past_the_cap_allocates_nothing(capsys):
     assert out == ""
     assert "hard cap" in err
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # the cutoff search at r = 30 never returned
+        ("spectrum", "--family", "tmsv", "--r", "30", "--cap", str(10**30)),
+        # a 537 TiB coefficient array raised MemoryError
+        ("spectrum", "--family", "tmsv", "--r", "15", "--cap", str(10**14)),
+        ("spectrum", "--family", "mes", "--N", "5", "--cap", "-1"),
+        ("fidelity", "gmes:b=15", "mes:N=200", "--cap", "200001"),
+        ("fig2", "--variant", "a", "--cap", "200001"),
+    ],
+    ids=["tmsv-hang", "tmsv-memory", "mes-negative", "fidelity", "fig2"],
+)
+def test_cap_outside_the_hard_cap(capsys, args):
+    code, out, err = run(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cutoff cap must lie in [0, 200000]") and err.count("\n") == 1
 
 
 def test_import_skips_scipy_linalg_and_optimize():
@@ -286,6 +307,19 @@ def test_fig1_bad_range(capsys):
     assert run(capsys, "fig1", "--start", "1", "--stop", "2", "--steps", "1")[0] == 2
 
 
+@pytest.mark.parametrize("command", [("fig1",), ("fig2", "--variant", "c")])
+def test_sweep_bounds_must_be_finite(capsys, command):
+    # refused by SweepConfig, before numpy would warn on an inf grid
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *command, "--start", "1", "--stop", "inf")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: sweep needs finite start < stop") and err.count("\n") == 1
+    with pytest.raises(ConfigError):
+        SweepConfig(start=-math.inf, stop=1.0, steps=2, spacing="linear")
+
+
 @pytest.mark.parametrize("command", [("fig1",), ("fig2", "--variant", "a"), ("fig2", "--variant", "c")])
 def test_sweep_steps_bound(capsys, command):
     # refused by SweepConfig before any grid is allocated
@@ -321,6 +355,18 @@ def test_fig2_variant_a_nbar_axis(capsys):
     header, rows = rows_of(out)
     assert header == ["nbar", "fid_N5"]
     assert float(rows[0][0]) == pytest.approx(2.0, rel=1e-12)  # b^2/2 at b=2
+
+
+def test_fig2_nbar_axis_at_the_top_of_the_float_range(capsys):
+    # sinh(r)^2 stays finite up to r ~ 355.3: r = 355 prints its row, r = 356 exits 2
+    sweep = ("fig2", "--variant", "b", "--x", "nbar", "--steps", "2", "--dims", "5")
+    code, out, _ = run(capsys, *sweep, "--start", "354", "--stop", "355")
+    assert code == 0
+    assert float(rows_of(out)[1][-1][0]) == pytest.approx(math.sinh(355.0) ** 2, rel=1e-11)
+    code, out, err = run(capsys, *sweep, "--start", "355", "--stop", "356")
+    assert code == 2
+    assert out == ""
+    assert err == "error: fig2 --x nbar needs a finite sinh(r)^2, got r=356.0\n"
 
 
 def test_fig2_variant_b_columns(capsys):

@@ -109,6 +109,7 @@ def test_poisson_tail_edges():
     assert poisson_tail(7, 0.0) == 0.0
     assert poisson_tail(-1, 2.0) == 1.0  # P(X > -1) is certain
     assert poisson_tail(10**6, 2e5) == 0.0  # far below the smallest double
+    assert poisson_tail(3.0, 2.0) == poisson_tail(3.5, 2.0) == poisson_tail(3, 2.0)
     tails = [poisson_tail(n, 4.0) for n in range(40)]
     assert all(b <= a for a, b in zip(tails, tails[1:]))
     assert 0.0 <= tails[-1] <= tails[0] <= 1.0
@@ -127,25 +128,25 @@ def first_underflowing(lam):
 
 
 def test_poisson_tail_skips_underflowing_window(monkeypatch):
-    # every term of the window underflows, so no pmf is evaluated
+    # from hi - 1 on no term of the support is left above n, so no kernel
+    # term is evaluated; past the first underflowing term the tail is 0.0
     calls = []
 
-    def spy(*args):
-        calls.append(args)
-        return pmf(*args)
+    def spy(start, stop, lam):
+        calls.append((start, stop))
+        return pmf_terms(start, stop, lam)
 
-    pmf = states._poisson_pmf
-    monkeypatch.setattr(states, "_poisson_pmf", spy)
-    assert poisson_tail(2000, 156.25) == 0.0
-    assert calls == []
-    # next to the cut the early return equals the sum over the whole window
+    pmf_terms = states._pmf_terms
+    monkeypatch.setattr(states, "_pmf_terms", spy)
     for lam in (156.25, 800.0, 1e4, LAM_398):
-        cut = first_underflowing(lam)
-        for n in range(cut - 2, cut + 3):
+        lo, hi = states._pmf_support(lam)
+        for n in (hi - 3, hi - 2, hi - 1, hi, hi + 100, 10**7):
             calls.clear()
-            got = poisson_tail(n, lam)
-            assert (calls == []) == (n >= cut)
-            assert got == float(pmf(n + 1, n + 1 + states._tail_window(lam), lam)[::-1].sum())
+            assert poisson_tail(n, lam) == 0.0
+            assert all(lo <= start and stop <= hi for start, stop in calls)
+            assert (calls == []) == (n >= hi - 1)
+        cut = first_underflowing(lam)
+        assert [poisson_tail(n, lam) for n in range(cut, cut + 3)] == [0.0] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +167,7 @@ def reference_tail_array(lam, nmax):
     cdf = np.cumsum(pmf[: nmax + 1])
     lower = 1.0 - np.minimum(cdf, 1.0)
     above = np.cumsum(pmf[:0:-1])[::-1][: nmax + 1]
-    return np.where(cdf <= 0.5, lower, above)
+    return np.where(np.arange(nmax + 1) + 1 <= lam, lower, above)
 
 
 def bits(values):
@@ -187,18 +188,31 @@ def test_pmf_support_is_exact(lam):
     lo, hi = states._pmf_support(lam)
     edges = np.array([k for k in (*range(lo - 3, lo), *range(hi, hi + 4)) if k >= 0], dtype=float)
     assert np.all(reference_pmf(edges, lam) == 0.0)
-    end = max(hi + 10, int(lam + 12.0 * math.sqrt(lam) + 31.0) + states._tail_window(lam))
-    full = reference_pmf(np.arange(end, dtype=float), lam)
-    # windows below, across, inside and past the support, as poisson_tail takes them
-    for start, stop in ((0, end), (0, lo + 1), (lo, hi), (max(0, lo - 5), hi + 5), (hi, hi + 10),
-                        (lo // 2, lo // 2 + 3), (lo + 1, lo + 1)):
-        assert np.array_equal(bits(states._poisson_pmf(start, stop, lam)), bits(full[start:stop]))
     # the first array of bounded_f_profile and the one of mes_overlaps, and
     # two that end below the support, as a small cap of bounded_f_profile does
     for nmax in (int(lam + 12.0 * math.sqrt(lam) + 30.0), int(lam + states._tail_window(lam)),
                  max(0, lo - 1), lo // 2):
         want = reference_tail_array(lam, nmax)
         assert np.array_equal(bits(states._poisson_tail_array(lam, nmax)), bits(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, 2.5e5, exclude_min=True), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+@example(13.69, [0.5])  # n = 13 = floor(lam): the upper sum, though CDF(13) < 0.5
+@example(1e-300, [0.0])
+@example(1490.0, [0.1])
+@example(LAM_398, [0.3, 0.9])
+def test_poisson_tail_is_one_point_of_the_tail_array(lam, fractions):
+    # one routine: the scalar tail is the tail array's entry bit for bit, for
+    # the arrays of bounded_f_profile and of mes_overlaps alike
+    lo, hi = states._pmf_support(lam)
+    mean = math.floor(lam)
+    for nmax in (int(lam + 12.0 * math.sqrt(lam) + 30.0), int(lam + states._tail_window(lam))):
+        tails = states._poisson_tail_array(lam, nmax)
+        picks = {lo - 1, lo, lo + 1, mean - 1, mean, mean + 1, hi - 2, hi - 1, nmax - 1, nmax}
+        picks |= {int(u * nmax) for u in fractions}
+        for n in sorted(k for k in picks if 0 <= k <= nmax):
+            assert bits(poisson_tail(n, lam)) == bits(tails[n]), n
 
 
 def test_pmf_support_at_the_top_of_the_float_range():
@@ -361,6 +375,17 @@ def test_tmsv_errors():
         tmsv_spectrum(1.0, tol=1.5)
     with pytest.raises(TruncationError):
         tmsv_spectrum(3.0, cap=10)
+
+
+def test_cap_past_the_hard_cap_is_refused():
+    # refused at once: at r = 30 and cap 1e30 the cutoff search began at
+    # 7.9e26, past 2^53, where its cut += 1 no longer moved it
+    with pytest.raises(ConfigError, match="cutoff cap"):
+        tmsv_spectrum(30.0, cap=10**30)
+    with pytest.raises(ConfigError, match="cutoff cap"):
+        states.bounded_f_profile(15.0, cap=states.MAX_CUTOFF + 1)
+    with pytest.raises(ConfigError, match="cutoff cap"):
+        mes_overlaps("gmes", 15.0, [5], cap=-1)
 
 
 # ---------------------------------------------------------------------------
