@@ -19,6 +19,11 @@ cosine combination that never exceeds the closed form and reaches it at
 aligned phases.  The unrestricted manifold attains strictly larger values for
 skewed states (up to the three-outcome optimum near 2.9149), so searching it
 would say nothing about the closed form.
+
+The search is exact coordinate ascent from random phases: along any one phase
+the Bell value is a sinusoid, so each move goes straight to its maximum, and a
+restart stops once a sweep of all six moves gains at most a relative ``tol``
+of its value.  It never evaluates the closed form.
 """
 
 from __future__ import annotations
@@ -81,12 +86,14 @@ _BASE_DECORATIONS = np.array(
 )
 _BASE_DECORATIONS.setflags(write=False)
 
+# Index of the next level, l + 1 mod 3: link l joins levels l and l + 1.
+_NEXT = np.array([1, 2, 0])
+_NEXT.setflags(write=False)
+
 _UNITARY_TOL = 1e-10
 _EIGENVALUE_TOL = 1e-8
 _DEFAULT_RESTARTS = 32
-_DEFAULT_STEP_TOL = 1e-7
-_INITIAL_STEP = 0.5
-_STEP_SHRINK = 0.5
+_DEFAULT_TOL = 1e-12
 _MAX_SWEEPS = 5000
 # Most restarts; each one holds its own generator and array rows, so more
 # than this is taken for a typo, not a request.
@@ -111,7 +118,7 @@ def _observables_from_params(thetas: np.ndarray) -> np.ndarray:
 
 def _links(chis: np.ndarray) -> np.ndarray:
     """Link phases exp(i (chi_{l+1} - chi_l)), l = 0, 1, 2, of diagonal phases (..., 3)."""
-    return np.exp(1j * (chis[..., [1, 2, 0]] - chis))
+    return np.exp(1j * (chis[..., _NEXT] - chis))
 
 
 def _params_from_unitary(u: np.ndarray) -> np.ndarray:
@@ -234,79 +241,78 @@ _LINK_WEIGHTS = _bell_from_correlations(_BASE_LINKS) - 1j * _bell_from_correlati
 
 def _phase_bell(q: QutritState, phases: np.ndarray) -> np.ndarray:
     """Bell value of the decorated canonical settings at local phases (..., 6)."""
-    pair = _LINK_WEIGHTS * q.a * q.a[[1, 2, 0]]
+    pair = _LINK_WEIGHTS * q.a * q.a[_NEXT]
     return np.sum(pair * _links(phases[..., :3]) * _links(phases[..., 3:]), axis=-1).real
+
+
+def _exact_move(terms: np.ndarray, coord: int) -> np.ndarray:
+    """Turn of phase ``coord`` maximizing Re sum_l T_l over link terms T (..., 3).
+
+    It turns link c - 1 by exp(i delta) and link c by exp(-i delta), indexed
+    mod 3, so the value is a sinusoid in delta peaking at -arg(T_{c-1} + conj T_c).
+    """
+    return -np.angle(terms[..., coord - 1] + np.conjugate(terms[..., coord]))
 
 
 def maximize_bell(
     q: QutritState,
     restarts: int = _DEFAULT_RESTARTS,
     seed: int = 0,
-    tol: float = _DEFAULT_STEP_TOL,
+    tol: float = _DEFAULT_TOL,
 ) -> BellResult:
-    """Multi-start coordinate descent over the parties' local reference phases.
+    """Multi-start exact coordinate ascent over the parties' local reference phases.
 
     Each restart starts from phases drawn with an independent seed sequence
     (seed, restart index), so results are deterministic for a fixed seed and
-    monotone nondecreasing when ``restarts`` grows with the same seed.  Every
-    restart keeps its own step size, halved after any full sweep without
-    improvement, and stops once the step drops below ``tol`` (or after a hard
-    sweep limit, reported via ``converged``).  The winning phases are returned
-    as a regular (4, 8) parameter block.
+    monotone nondecreasing when ``restarts`` grows with the same seed.  A
+    sweep moves party A's three phases, then party B's, each to the exact
+    maximizer of the Bell value along it.  A restart stops on the first sweep
+    that raises its value by at most ``tol * |value|`` and is frozen from
+    then on; ``converged`` reports whether the winner stopped so within the
+    hard sweep limit.  The winning phases are returned as a regular (4, 8)
+    parameter block.
 
-    Trials are scored on link phases, not on 3x3 matrices.  A decorated
+    Moves are computed on link phases, not on 3x3 matrices.  A decorated
     shift D SHIFT D+ is nonzero only at (l+1, l), where it holds the link
     phase L_l = exp(i (chi_{l+1} - chi_l)), so the Bell value at local phases
     (phi_A, phi_B) is Re sum_l C_l a_l a_{l+1} L_l(phi_A) L_l(phi_B) with
-    C = ``_LINK_WEIGHTS``.  Moving phi_c by +-step turns link c - 1 by
-    exp(+-i step) and link c by exp(-+i step); with the other party's links
-    fixed, a trial costs O(restarts).  The returned value is recomputed from
-    the final phases.
+    C = ``_LINK_WEIGHTS``.  Moving phi_c by delta turns link c - 1 by
+    exp(i delta) and link c by exp(-i delta).  With T_l the terms at the
+    other phases, the value is Re T_{c+1} + Re((T_{c-1} + conj T_c) exp(i delta)),
+    a sinusoid in delta whose maximum lies at delta = -arg(T_{c-1} + conj T_c)
+    (``_exact_move``); arg 0 = 0 leaves a flat coordinate where it is.  A move
+    costs O(restarts).  The returned value is ``_phase_bell`` at the winning phases.
     """
     if int(restarts) != restarts or not (1 <= restarts <= _MAX_RESTARTS):
         raise DomainError(f"restarts must be an integer in [1, {_MAX_RESTARTS}], got {restarts}")
     if int(seed) != seed or seed < 0:
         raise DomainError(f"seed must be an integer >= 0, got {seed}")
     if not (0.0 < tol < 1.0):
-        raise DomainError(f"step tolerance must lie in (0, 1), got {tol}")
+        raise DomainError(f"relative tolerance must lie in (0, 1), got {tol}")
     restarts = int(restarts)
 
     rngs = (np.random.default_rng([seed, i]) for i in range(restarts))
     phases = np.stack([rng.uniform(-np.pi, np.pi, size=6) for rng in rngs])
-    pair = _LINK_WEIGHTS * q.a * q.a[[1, 2, 0]]
-    best = _phase_bell(q, phases)
-    step = np.full(restarts, _INITIAL_STEP)
+    pair = _LINK_WEIGHTS * q.a * q.a[_NEXT]
+    value = _phase_bell(q, phases)
+    active = np.ones(restarts, dtype=bool)
     sweeps = 0
-    while sweeps < _MAX_SWEEPS:
-        active = step >= tol
-        if not active.any():
-            break
-        improved = np.zeros(restarts, dtype=bool)
-        turn = np.exp(1j * step)
-        moves = ((step, turn, np.conjugate(turn)), (-step, np.conjugate(turn), turn))
+    while sweeps < _MAX_SWEEPS and active.any():
         for party in range(2):
             block = slice(3 * party, 3 * party + 3)
             # the other party's links stay fixed while this party moves
             pull = pair * _links(phases[:, 3 - 3 * party : 6 - 3 * party])
-            terms = pull * _links(phases[:, block])
             for coord in range(3):
-                for shift, up, down in moves:
-                    # links c + 1 (unchanged), c - 1 and c, indexed mod 3
-                    value = (terms[:, coord - 2] + terms[:, coord - 1] * up + terms[:, coord] * down).real
-                    accept = active & (value > best)
-                    if accept.any():
-                        phases[:, 3 * party + coord] += np.where(accept, shift, 0.0)
-                        terms = pull * _links(phases[:, block])
-                        best = np.where(accept, value, best)
-                        improved |= accept
-        step[active & ~improved] *= _STEP_SHRINK
+                move = _exact_move(pull * _links(phases[:, block]), coord)
+                phases[:, 3 * party + coord] += np.where(active, move, 0.0)
+        previous, value = value, _phase_bell(q, phases)
+        active &= value - previous > tol * np.abs(previous)
         sweeps += 1
 
-    final = _phase_bell(q, phases)
-    winner = int(np.argmax(final))
+    winner = int(np.argmax(value))
     return BellResult(
-        value=float(final[winner]),
+        value=float(value[winner]),
         settings=_settings_from_phases(phases[winner]),
         restarts_used=restarts,
-        converged=bool(step[winner] < tol),
+        converged=not active[winner],
     )

@@ -15,6 +15,7 @@ result as ``tail_bound``.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -81,7 +82,12 @@ def _check_tol(tol: float) -> None:
 
 
 def _check_cap(cap: int) -> None:
-    # a cap past MAX_CUTOFF would let a cutoff search or its arrays run unbounded
+    # a cap past MAX_CUTOFF would let a cutoff search or its arrays run unbounded,
+    # and a non-integer one would reach numpy as a slice bound or array length
+    try:
+        operator.index(cap)
+    except TypeError:
+        raise ConfigError(f"cutoff cap must be an integer, got {cap!r}") from None
     if not (0 <= cap <= MAX_CUTOFF):
         raise ConfigError(f"cutoff cap must lie in [0, {MAX_CUTOFF}], got {cap}")
 
@@ -204,8 +210,9 @@ def _fsum_repeated_head(values: np.ndarray, head: int) -> float:
 def bounded_f_profile(b: float, tol: float = DEFAULT_TOL, cap: int = MAX_CUTOFF):
     """f(n, b) for n = 0..M with M the first index where the mass reaches 1 - tol.
 
-    Returns ``(values, tail_bound)``.  Shared by the Schmidt-spectrum and the
-    diagonal-distribution constructors so the two stay numerically identical.
+    Returns ``(values, tail_bound)``, with ``values`` a fresh buffer the caller
+    may overwrite.  Shared by the Schmidt-spectrum and the diagonal-distribution
+    constructors so the two stay numerically identical.
     """
     lam = _poisson_mean(b)
     _check_tol(tol)
@@ -216,11 +223,13 @@ def bounded_f_profile(b: float, tol: float = DEFAULT_TOL, cap: int = MAX_CUTOFF)
     if (cap + 1) / lam >= 1.0 - tol:
         # one pass: the f(n, b) past lam + 12 sqrt(lam) + 30 sum to at most 7.4e-37,
         # below half an ulp of csum near 1 - tol, so no longer profile moves the cut
-        f = _poisson_tail_array(lam, nmax) / lam
+        f = _poisson_tail_array(lam, nmax)
+        f /= lam
         csum = np.cumsum(f)
         cut = int(np.searchsorted(csum, 1.0 - tol))
         if cut <= nmax:
-            values = f[: cut + 1].copy()
+            del csum
+            values = f[: cut + 1]
             # the f(n, b) below the pmf support all equal 1/b^2
             head = min(_pmf_support(lam)[0], cut + 1, 2**26)
             return values, max(0.0, 1.0 - _fsum_repeated_head(values, head))
@@ -277,7 +286,7 @@ def tmsv_spectrum(r: float, tol: float = DEFAULT_TOL, cap: int = MAX_CUTOFF) -> 
 def gmes_spectrum(b: float, tol: float = DEFAULT_TOL, cap: int = MAX_CUTOFF) -> SchmidtSpectrum:
     """Schmidt spectrum of the Gaussian maximally entangled state, c_n = sqrt(f(n, b))."""
     values, tail = bounded_f_profile(b, tol, cap)
-    return SchmidtSpectrum(np.sqrt(values), tail, "gmes")
+    return SchmidtSpectrum(np.sqrt(values, out=values), tail, "gmes")
 
 
 def mes_spectrum(N: int) -> SchmidtSpectrum:

@@ -22,10 +22,14 @@ from gmeslab import (
     maximize_bell,
     observable_from_params,
 )
+from gmeslab import bell_oracle
 from gmeslab.bell_oracle import (
     _BASE_DECORATIONS,
+    _LINK_WEIGHTS,
     _MAX_RESTARTS,
     _SHIFT_DIAGONALIZER,
+    _exact_move,
+    _links,
     _params_from_unitary,
     _phase_bell,
     _settings_from_phases,
@@ -194,7 +198,7 @@ def test_settings_validation():
 
 def test_maximize_uniform():
     result = maximize_bell(UNIFORM, restarts=4, seed=0)
-    assert result.value == pytest.approx(2.872934051172335, abs=1e-6)
+    assert result.value == pytest.approx(2.872934051172335, abs=1e-12)
     assert result.converged
     assert result.restarts_used == 4
 
@@ -205,7 +209,7 @@ def test_maximize_matches_formula_on_random_states():
         q = random_state(rng)
         want = bell_max_analytic(q).value
         result = maximize_bell(q, restarts=3, seed=1)
-        assert abs(result.value - want) <= 1e-6
+        assert abs(result.value - want) <= 1e-12 * want
         assert result.value <= want + 1e-9
 
 
@@ -221,13 +225,80 @@ def test_maximize_deterministic():
     assert np.array_equal(r1.settings.params, r2.settings.params)
 
 
-def test_maximize_monotone_in_restarts():
-    # per-restart seeding is derived from (seed, index), so adding restarts
-    # keeps the earlier starts and can only improve the best value
-    q = random_state(np.random.default_rng(59))
-    v2 = maximize_bell(q, restarts=2, seed=5).value
-    v5 = maximize_bell(q, restarts=5, seed=5).value
-    assert v5 >= v2
+@settings(max_examples=25, deadline=None)
+@given(
+    st.tuples(*[st.floats(0.0, 1.0)] * 3).filter(lambda a: max(a) >= 1e-3),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(1, 6),
+)
+@example((1.0, 1.0, 1.0), 5, 2, 3)
+def test_maximize_monotone_in_restarts(a, seed, fewer, extra):
+    # per-restart seeding is derived from (seed, index) and a stopped restart
+    # is frozen, so each path ignores the others: adding restarts keeps the
+    # earlier paths bit for bit and can only improve the best value
+    q = QutritState(np.divide(a, math.hypot(*a)))
+    small = maximize_bell(q, restarts=fewer, seed=seed)
+    large = maximize_bell(q, restarts=fewer + extra, seed=seed)
+    assert large.value >= small.value
+    if large.value == small.value:
+        assert np.array_equal(large.settings.params, small.settings.params)
+
+
+def test_maximize_reports_the_sweep_limit(monkeypatch):
+    # one sweep leaves a random start short of the optimum, so no restart has
+    # stopped by the tol rule when the limit ends the search
+    monkeypatch.setattr(bell_oracle, "_MAX_SWEEPS", 1)
+    assert not maximize_bell(UNIFORM, restarts=4, seed=0).converged
+    monkeypatch.undo()
+    assert maximize_bell(UNIFORM, restarts=4, seed=0).converged
+
+
+def test_maximize_freezes_a_stopped_restart(monkeypatch):
+    # once a sweep gains at most tol |value| for a restart, its phases never
+    # move again, whatever the other restarts still do
+    seen = []
+    phase_bell = bell_oracle._phase_bell
+
+    def spy(q, phases):
+        value = phase_bell(q, phases)
+        seen.append((phases.copy(), value))
+        return value
+
+    monkeypatch.setattr(bell_oracle, "_phase_bell", spy)
+    rng = np.random.default_rng(71)
+    for _ in range(10):
+        seen.clear()
+        maximize_bell(random_state(rng), restarts=32, seed=int(rng.integers(2**32)))
+        stopped_at = np.full(32, len(seen))
+        for sweep in range(len(seen) - 1, 0, -1):
+            gain = seen[sweep][1] - seen[sweep - 1][1]
+            stopped_at[gain <= 1e-12 * np.abs(seen[sweep - 1][1])] = sweep
+        assert len(set(stopped_at.tolist())) > 1  # the restarts stop at different sweeps
+        for row, sweep in enumerate(stopped_at):
+            for phases, _ in seen[sweep:]:
+                assert np.array_equal(phases[row], seen[sweep][0][row])
+
+
+def test_maximize_sweeps_on_the_criterion_2_states(monkeypatch):
+    # _phase_bell runs once on the starts and once per sweep
+    calls = []
+    phase_bell = bell_oracle._phase_bell
+
+    def spy(q, phases):
+        calls.append(1)
+        return phase_bell(q, phases)
+
+    monkeypatch.setattr(bell_oracle, "_phase_bell", spy)
+    rng = np.random.default_rng(2024)
+    for _ in range(20):
+        a = rng.uniform(0.0, 1.0, 3)
+        q = QutritState(a / np.linalg.norm(a))
+        calls.clear()
+        result = maximize_bell(q, restarts=32, seed=0)
+        assert result.converged
+        assert 1 <= len(calls) - 1 <= 10
+        assert abs(result.value - bell_max_analytic(q).value) <= 1e-12 * result.value
 
 
 def test_maximize_result_settings_reproduce_value():
@@ -301,9 +372,35 @@ COEFFS = st.one_of(st.just(0.0), st.floats(1e-150, 1.0))
 @example((1.0, 1.0, 1.0), 0)
 @example((1.0, 0.0, 0.0), 0)
 @example((0.9, 0.3, 0.05), 3)
+@example((1.0, 1e-4, 1e-8), 3)  # the smoke check of the CI workflow
+@example((1.0, 1e-10, 1e-10), 0)  # a value near 6e-10 from two links of equal weight
 def test_maximize_never_exceeds_the_closed_form(a, seed):
     q = QutritState(np.divide(a, math.hypot(*a)))
     want = bell_max_analytic(q).value
     value = maximize_bell(q, seed=seed).value
     assert value <= want * (1.0 + 1e-12)
-    assert value >= want - 1e-9
+    assert value >= want * (1.0 - 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(COEFFS, COEFFS, COEFFS).filter(any),
+    st.lists(st.floats(-math.pi, math.pi), min_size=6, max_size=6),
+    st.integers(0, 1),
+    st.integers(0, 2),
+)
+def test_exact_move_is_the_maximum_along_its_phase(a, start, party, coord):
+    # the value along one phase is a sinusoid; the move lands on its peak, so
+    # no point of a 64-point grid through the whole circle lies above it
+    q = QutritState(np.divide(a, math.hypot(*a)))
+    phases = np.array(start)
+    block = slice(3 * party, 3 * party + 3)
+    other = slice(3 - 3 * party, 6 - 3 * party)
+    terms = _LINK_WEIGHTS * q.a * q.a[[1, 2, 0]] * _links(phases[other]) * _links(phases[block])
+    moved = phases.copy()
+    moved[3 * party + coord] += _exact_move(terms, coord)
+    grid = np.repeat(phases[np.newaxis], 64, axis=0)
+    grid[:, 3 * party + coord] += np.linspace(-np.pi, np.pi, 64, endpoint=False)
+    best = _phase_bell(q, moved)
+    assert best >= _phase_bell(q, phases) - 1e-14
+    assert np.all(best >= _phase_bell(q, grid) - 1e-14)

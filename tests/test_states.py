@@ -388,6 +388,30 @@ def test_cap_past_the_hard_cap_is_refused():
         mes_overlaps("gmes", 15.0, [5], cap=-1)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda cap: gmes_spectrum(1.0, cap=cap),
+        lambda cap: tmsv_spectrum(3.0, cap=cap),
+        lambda cap: mes_overlaps("gmes", 1.0, [5], cap=cap),
+        lambda cap: states.bounded_f_profile(1.0, cap=cap),
+    ],
+    ids=["gmes_spectrum", "tmsv_spectrum", "mes_overlaps", "bounded_f_profile"],
+)
+@pytest.mark.parametrize("cap", [2.5, 7.5, 50.5, 50.0, "50", np.float64(50.0)])
+def test_non_integer_cap_is_refused(build, cap):
+    # a float cap used to reach numpy: 2.5 as a bare TypeError, 50.5 as a
+    # spectrum that stopped where the float cap happened to fall
+    with pytest.raises(ConfigError, match="cutoff cap must be an integer"):
+        build(cap)
+
+
+def test_integer_like_caps_are_accepted():
+    for cap in (5000, np.int64(5000), np.uint16(5000)):
+        assert np.array_equal(gmes_spectrum(1.0, cap=cap).coeffs, gmes_spectrum(1.0).coeffs)
+        assert tmsv_spectrum(3.0, cap=cap).tail_bound == tmsv_spectrum(3.0).tail_bound
+
+
 # ---------------------------------------------------------------------------
 # GMES spectra
 # ---------------------------------------------------------------------------
