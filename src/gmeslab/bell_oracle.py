@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .metrics import SQRT3, QutritState
 
 _W = np.exp(2j * np.pi / 3.0)
@@ -283,13 +283,10 @@ def maximize_bell(
     (``_exact_move``); arg 0 = 0 leaves a flat coordinate where it is.  A move
     costs O(restarts).  The returned value is ``_phase_bell`` at the winning phases.
     """
-    if int(restarts) != restarts or not (1 <= restarts <= _MAX_RESTARTS):
-        raise DomainError(f"restarts must be an integer in [1, {_MAX_RESTARTS}], got {restarts}")
-    if int(seed) != seed or seed < 0:
-        raise DomainError(f"seed must be an integer >= 0, got {seed}")
+    restarts = check_integer(restarts, "restarts", 1, _MAX_RESTARTS)
+    seed = check_integer(seed, "seed", 0)
     if not (0.0 < tol < 1.0):
         raise DomainError(f"relative tolerance must lie in (0, 1), got {tol}")
-    restarts = int(restarts)
 
     rngs = (np.random.default_rng([seed, i]) for i in range(restarts))
     phases = np.stack([rng.uniform(-np.pi, np.pi, size=6) for rng in rngs])

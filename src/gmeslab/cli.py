@@ -17,7 +17,7 @@ import numpy as np
 from .bell_oracle import maximize_bell
 from .crosskerr import _kerr_row, default_cutoff
 from .errors import ConfigError, DegenerateInputError, DomainError, TruncationError
-from .metrics import QutritState, bell_max_analytic, fidelity
+from .metrics import QutritState, bell_form, bell_max_analytic, fidelity
 from .states import (
     DEFAULT_TOL,
     MAX_CUTOFF,
@@ -170,24 +170,28 @@ def _unit(a) -> np.ndarray:
     return np.divide(a, math.hypot(*a))
 
 
-def _bell(a) -> float:
-    """Closed-form Bell maximum of the qutrit state with Schmidt vector along ``a``."""
-    return bell_max_analytic(QutritState(_unit(a))).value
+def _bell_of_rows(a: np.ndarray) -> np.ndarray:
+    """Closed-form Bell maximum B(a)/|a|^2 of the qutrit state along each row of ``a``."""
+    a0, a1, a2 = a.T
+    return bell_form(a0, a1, a2) / (a0 * a0 + a1 * a1 + a2 * a2)
 
 
 def cmd_fig1(args) -> int:
     # GMES: c_n = sqrt(P(X > n)/lam), X ~ Poisson(lam = b^2 = 2 nbar) since sum_n n f(n, b) = b^2/2;
     # TMSV: c_n = t^n / cosh r, t^2 = nbar/(1 + nbar).  Renormalizing cancels 1/lam and 1/cosh r.
     cfg = SweepConfig(start=args.start, stop=args.stop, steps=args.steps, spacing=args.spacing)
-    rows = []
-    for nbar in cfg.grid().tolist():
+    nbars = cfg.grid()
+    tails = np.empty((nbars.size, 3))
+    # point by point, so that 2 nbar = inf is refused before numpy could warn on it
+    for row, nbar in zip(tails, nbars.tolist()):
         lam = 2.0 * nbar
         if not (nbar >= 1e-150 and math.isfinite(lam)):
             raise DomainError(f"fig1 needs nbar >= 1e-150, where P(X > 1) ~ 2 nbar^2 is still a normal float, "
                               f"and 2 nbar finite, got nbar={_fmt(nbar)}")
-        t = math.sqrt(nbar / (1.0 + nbar))
-        bell_gmes = _bell(np.sqrt(_poisson_tail_array(lam, 2)))
-        rows.append((nbar, bell_gmes, _bell([1.0, t, t * t])))
+        row[:] = _poisson_tail_array(lam, 2)
+    t = np.sqrt(nbars / (1.0 + nbars))
+    tmsv = np.stack((np.ones_like(t), t, t * t), axis=1)
+    rows = zip(nbars.tolist(), _bell_of_rows(np.sqrt(tails)).tolist(), _bell_of_rows(tmsv).tolist())
     _emit(("nbar", "bell_gmes", "bell_tmsv"), rows, args.out)
     return 0
 

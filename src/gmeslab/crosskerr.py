@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, TruncationError
+from .errors import DegenerateInputError, DomainError, TruncationError, check_integer
 from .states import MAX_CUTOFF, _check_mass, poisson_tail
 
 # Phase states whose Gram matrix has min/max eigenvalue ratio below this are
@@ -98,9 +98,7 @@ def coherent_fock(alpha: complex, cutoff: int | None = None) -> FockVector:
         raise DomainError(f"|alpha| must be finite, got {alpha}")
     if cutoff is None:
         cutoff = default_cutoff(alpha)
-    if int(cutoff) != cutoff or cutoff < 0:
-        raise DomainError(f"cutoff must be a nonnegative integer, got {cutoff}")
-    cutoff = int(cutoff)
+    cutoff = check_integer(cutoff, "cutoff", 0)
     if cutoff > MAX_CUTOFF:
         raise TruncationError(f"cutoff {cutoff} exceeds the hard cap {MAX_CUTOFF}")
     mag_sq = abs(alpha) ** 2
@@ -132,10 +130,9 @@ def pseudo_number_component(v: FockVector, d: int, k: int):
     support, so they are exactly orthogonal and their squared norms add up to
     the squared norm of ``v``.
     """
-    _check_modulus(d)
-    if int(k) != k or not (0 <= k < d):
-        raise DomainError(f"residue k must be an integer in [0, {d}), got {k}")
-    mask = (np.arange(v.cutoff + 1) % d) == int(k)
+    d = check_integer(d, "modulus d", 1)
+    k = check_integer(k, "residue k", 0, d - 1)
+    mask = (np.arange(v.cutoff + 1) % d) == k
     amps = np.where(mask, v.amps, 0.0)
     norm = math.sqrt(float(np.vdot(amps, amps).real))
     component = FockVector(amps, v.cutoff, max(v.loss, 1.0 - norm * norm))
@@ -148,7 +145,7 @@ def cross_kerr_apply(s: TwoModeFock, d: int) -> TwoModeFock:
     The phase exponent is reduced mod d in integer arithmetic, so d = 1 is
     exactly the identity and the norm is preserved to machine precision.
     """
-    _check_modulus(d)
+    d = check_integer(d, "modulus d", 1)
     n = np.arange(s.cutoff + 1, dtype=np.int64)
     residues = np.outer(n, n) % d
     phases = np.exp(2j * np.pi * np.arange(d) / d)
@@ -166,14 +163,14 @@ def pseudo_phase_gram(alpha: complex, d: int, cutoff: int | None = None) -> np.n
     It is the circulant with first row d ifft(n^2) (see the module docstring).
     The exact magnitudes are exp(-|alpha|^2 (1 - cos(2 pi (k-j)/d))).
     """
-    _check_modulus(d)
+    d = check_integer(d, "modulus d", 1)
     first_row = d * np.fft.ifft(_pseudo_number_weights(coherent_fock(alpha, cutoff), d))
     return np.stack([np.roll(first_row, j) for j in range(d)])
 
 
 def _kerr_row(alpha: complex, d: int, cutoff: int | None):
     """(fidelity, n_k^2, first Gram row) of the Kerr report, from one coherent vector."""
-    _check_modulus(d)
+    d = check_integer(d, "modulus d", 1)
     base = coherent_fock(alpha, cutoff)
     if d > base.cutoff + 1:  # checked before the O(d) weights exist
         raise DegenerateInputError(f"component k={base.cutoff + 1} is empty: d = {d} > cutoff + 1")
@@ -203,8 +200,3 @@ def kerr_mes_fidelity(alpha: complex, d: int, cutoff: int | None = None) -> floa
     eigenvalues are d n_k^2, so when min n_k^2 < 1e-12 max n_k^2.
     """
     return _kerr_row(alpha, d, cutoff)[0]
-
-
-def _check_modulus(d: int) -> None:
-    if int(d) != d or d < 1:
-        raise DomainError(f"modulus d must be an integer >= 1, got {d}")

@@ -66,15 +66,24 @@ def qutrit_truncate(s: SchmidtSpectrum) -> QutritState:
     return QutritState(a / norm)
 
 
+def bell_form(a0, a1, a2):
+    """B(a) = 4 a0 a1 + (4/sqrt(3)) (a0 a2 + a1 a2), for floats or arrays alike.
+
+    B is homogeneous of degree 2, so B(a)/|a|^2 is the Bell maximum of the
+    state along any nonnegative a, normalized or not.
+    """
+    return 4.0 * (a0 * a1) + (4.0 / SQRT3) * (a0 * a2 + a1 * a2)
+
+
 def bell_max_analytic(q: QutritState) -> BellMax:
-    """Maximal two-qutrit Bell value 4|a0 a1| + (4/sqrt(3)) (|a0 a2| + |a1 a2|).
+    """Maximal two-qutrit Bell value B(|a|) = 4|a0 a1| + (4/sqrt(3)) (|a0 a2| + |a1 a2|).
 
     Also reports whether max |a_k| satisfies the formula's applicability
     condition (it always does for normalized coefficients).
     """
-    a0, a1, a2 = (float(x) for x in q.a)
-    value = 4.0 * abs(a0 * a1) + (4.0 / SQRT3) * (abs(a0 * a2) + abs(a1 * a2))
-    applicable = max(abs(a0), abs(a1), abs(a2)) <= COEFF_BOUND
+    a0, a1, a2 = (abs(float(x)) for x in q.a)
+    value = bell_form(a0, a1, a2)
+    applicable = max(a0, a1, a2) <= COEFF_BOUND
     return BellMax(value, applicable)
 
 

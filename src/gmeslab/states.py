@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import ConfigError, DomainError, SolverError, TruncationError
+from .errors import ConfigError, DomainError, SolverError, TruncationError, check_integer
 
 # Hard cap on the adaptive Fock cutoff; spectra needing more terms raise.
 MAX_CUTOFF = 200_000
@@ -104,6 +104,11 @@ def _check_cap(cap: int) -> None:
 
 _SQRT_1500 = math.sqrt(1500.0)
 
+# log k! = gammaln(k + 1) for k = 0..4095, read-only: 32 KB that cover the whole
+# pmf support of every lam <= 1600.  A larger k goes through gammaln itself.
+_LOG_FACTORIAL = gammaln(np.arange(1.0, 4097.0))
+_LOG_FACTORIAL.setflags(write=False)
+
 
 def _pmf_support(lam: float) -> tuple[int, int]:
     """[lo, hi): the k outside it have exp(k log lam - lam - gammaln(k+1)) == 0.0.
@@ -123,7 +128,11 @@ def _pmf_support(lam: float) -> tuple[int, int]:
 def _pmf_terms(start: int, stop: int, lam: float) -> np.ndarray:
     """The kernel exp(k log lam - lam - gammaln(k+1)) for k = start..stop-1."""
     k = np.arange(start, stop, dtype=float)
-    return np.exp(k * math.log(lam) - lam - gammaln(k + 1.0))
+    log_factorial = _LOG_FACTORIAL[start:stop] if stop <= _LOG_FACTORIAL.size else gammaln(k + 1.0)
+    k *= math.log(lam)
+    k -= lam
+    k -= log_factorial
+    return np.exp(k, out=k)
 
 
 def _tail_window(lam: float) -> int:
@@ -135,12 +144,14 @@ def _tail_window(lam: float) -> int:
 
 
 def poisson_tail(n: int, lam: float) -> float:
-    """P(X > n) for X ~ Poisson(lam), stable in both tails."""
+    """P(X > n) for X ~ Poisson(lam), stable in both tails; a real n counts as floor(n), +-inf included."""
     if not math.isfinite(lam) or lam < 0.0:
         raise DomainError(f"Poisson mean must be finite and nonnegative, got {lam}")
+    if n != n:
+        raise DomainError("n must be a number, got nan")
     if n < 0:
         return 1.0
-    if lam == 0.0:
+    if lam == 0.0 or n == math.inf:
         return 0.0
     # P(X > n) = P(X > floor(n)) for a real n >= 0
     return float(_poisson_tail_array(lam, int(n), int(n))[0])
@@ -185,10 +196,9 @@ def f_coefficient(n: int, b: float) -> float:
     f(n, b) = (1 - sum_{k=0}^{n} b^{2k} e^{-b^2} / k!) / b^2, i.e. the Poisson
     upper tail P(X > n) at mean b^2, divided by b^2.
     """
-    if int(n) != n or n < 0:
-        raise DomainError(f"n must be a nonnegative integer, got {n}")
+    n = check_integer(n, "n", 0)
     lam = _poisson_mean(b)
-    return poisson_tail(int(n), lam) / lam
+    return poisson_tail(n, lam) / lam
 
 
 def _fsum_repeated_head(values: np.ndarray, head: int) -> float:
@@ -291,9 +301,7 @@ def gmes_spectrum(b: float, tol: float = DEFAULT_TOL, cap: int = MAX_CUTOFF) -> 
 
 def mes_spectrum(N: int) -> SchmidtSpectrum:
     """Schmidt spectrum of the N-dimensional maximally entangled state."""
-    if int(N) != N or N < 1:
-        raise DomainError(f"N must be an integer >= 1, got {N}")
-    N = int(N)
+    N = check_integer(N, "N", 1)
     return SchmidtSpectrum(np.full(N, 1.0 / math.sqrt(N)), 0.0, "mes")
 
 
@@ -304,9 +312,9 @@ def mes_overlaps(family: str, value: float, dims, cap: int = MAX_CUTOFF) -> list
     lose up to sqrt(tol) of it), for ``family``:
 
     * "tmsv", value r: (1 - t^N) / ((1 - t) cosh(r) sqrt(N)) with t = tanh(r);
-    * "gmes", value b: a prefix sum of sqrt(f(n, b)) over n <= b^2 + 40 b + 60,
-      past which the terms add under 1e-75 of it (``TruncationError`` if that n
-      exceeds ``cap``);
+    * "gmes", value b: the prefix sum of sqrt(f(n, b)) over n < N, cut at
+      n = b^2 + 40 b + 60, past which the terms add under 1e-75 of it
+      (``TruncationError`` if that n exceeds ``cap``, whatever N is);
     * "mes", value M: min(N, M) / sqrt(N M).
     """
     _check_cap(cap)
@@ -332,7 +340,8 @@ def mes_overlaps(family: str, value: float, dims, cap: int = MAX_CUTOFF) -> list
         nmax = int(lam + _tail_window(lam))
         if nmax > cap:
             raise TruncationError(f"overlap sum for b={value} needs {nmax} terms, past the hard cap {cap}")
-        csum = np.cumsum(np.sqrt(_poisson_tail_array(lam, nmax) / lam))
+        # an overlap with MES_N reads no tail past n = N - 1
+        csum = np.cumsum(np.sqrt(_poisson_tail_array(lam, min(nmax, max(dims, default=1) - 1)) / lam))
         overlaps = [float(csum[min(dim, csum.size) - 1]) / math.sqrt(dim) for dim in dims]
     else:
         raise DomainError(f"unknown family {family!r}, expected tmsv, gmes or mes")

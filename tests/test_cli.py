@@ -15,14 +15,14 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import pdtrc
 
 import gmeslab.cli
 import gmeslab.crosskerr
 import gmeslab.states
-from gmeslab import ConfigError, fidelity, gmes_spectrum, mes_spectrum, tmsv_spectrum
+from gmeslab import ConfigError, QutritState, bell_max_analytic, fidelity, gmes_spectrum, mes_spectrum, tmsv_spectrum
 from gmeslab.cli import SweepConfig, main
 
 
@@ -251,9 +251,10 @@ def test_fig1_domain_and_option_errors(capsys, args):
 
 def test_fig1_builds_no_spectrum(capsys, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("fig1 built a spectrum")
+        raise AssertionError("fig1 built a spectrum or a per-point qutrit state")
 
-    for name in ("gmes_spectrum", "tmsv_spectrum", "mes_spectrum"):
+    # the Bell columns are one grid expression, with no QutritState per point
+    for name in ("gmes_spectrum", "tmsv_spectrum", "mes_spectrum", "QutritState", "bell_max_analytic"):
         monkeypatch.setattr(gmeslab.cli, name, refuse)
     monkeypatch.setattr(gmeslab.states, "bounded_f_profile", refuse)
     code, out, _ = run(capsys, "fig1")
@@ -300,6 +301,20 @@ def test_fig1_gmes_matches_pdtrc(exponent):
     nbar = 10.0**exponent
     want = bell_closed_form(np.sqrt(pdtrc(np.arange(3), 2.0 * nbar)))
     assert fig1_row(nbar)[0] == pytest.approx(want, rel=1e-11)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-150.0, 300.0), min_size=1, max_size=20))
+@example([-150.0, 300.0])
+def test_fig1_grid_expression_matches_the_per_point_closed_form(exponents):
+    # B(a)/|a|^2 over the whole grid against bell_max_analytic on each unit vector
+    nbars = 10.0 ** np.array(exponents)
+    gmes = np.sqrt([gmeslab.states._poisson_tail_array(2.0 * nbar, 2) for nbar in nbars])
+    t = np.sqrt(nbars / (1.0 + nbars))
+    tmsv = np.stack((np.ones_like(t), t, t * t), axis=1)
+    for rows in (gmes, tmsv):
+        want = [bell_max_analytic(QutritState(gmeslab.cli._unit(a.tolist()))).value for a in rows]
+        np.testing.assert_allclose(gmeslab.cli._bell_of_rows(rows), want, rtol=1e-15, atol=0.0)
 
 
 def test_fig1_bad_range(capsys):
@@ -425,6 +440,30 @@ def test_fig2_overlap_memory(capsys):
     want = float(np.sum(np.sqrt(pdtrc(np.arange(3000), 225.0) / 225.0))) / math.sqrt(1e7)
     assert float(rows[1][1]) == pytest.approx(want, rel=1e-11)
     assert peak < 8_000_000
+
+
+def test_fig2_a_sums_to_the_largest_dimension_from_the_table(capsys, monkeypatch):
+    # at b <= 30 every pmf term comes from the log k! table, none from gammaln,
+    # and no tail past n = 999 is built for N = 1000
+    terms = {"kernel": 0, "gammaln": 0}
+    pmf_terms, gammaln = gmeslab.states._pmf_terms, gmeslab.states.gammaln
+
+    def count_terms(start, stop, lam):
+        terms["kernel"] += max(0, stop - start)
+        return pmf_terms(start, stop, lam)
+
+    def count_gammaln(x):
+        terms["gammaln"] += np.size(x)
+        return gammaln(x)
+
+    monkeypatch.setattr(gmeslab.states, "_pmf_terms", count_terms)
+    monkeypatch.setattr(gmeslab.states, "gammaln", count_gammaln)
+    code, out, _ = run(capsys, "fig2", "--variant", "a")
+    assert code == 0
+    assert len(rows_of(out)[1]) == 300
+    # 470,376 terms when every sum ran to b^2 + 40 b + 60
+    assert 0 < terms["kernel"] <= 412_000
+    assert terms["gammaln"] == 0
 
 
 @pytest.mark.parametrize(

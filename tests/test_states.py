@@ -215,6 +215,23 @@ def test_poisson_tail_is_one_point_of_the_tail_array(lam, fractions):
             assert bits(poisson_tail(n, lam)) == bits(tails[n]), n
 
 
+TABLE = states._LOG_FACTORIAL.size
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 2.5e5, exclude_min=True), st.integers(0, TABLE + 64), st.integers(-64, 64))
+@example(1600.0, 0, 0)  # the whole support of lam = 1600 ends inside the table
+@example(2.5e5, TABLE - 10, 0)
+@example(1e-300, 0, -TABLE)  # start = 0, stop = 0: no term
+def test_pmf_terms_read_the_log_factorial_table(lam, start, offset):
+    # ranges that end below, at and above the table's end, against gammaln itself
+    assert not states._LOG_FACTORIAL.flags.writeable
+    for stop in (start + 1, start + 300, TABLE - 1, TABLE, TABLE + 1, TABLE + offset):
+        stop = max(start, stop)
+        k = np.arange(start, stop, dtype=float)
+        assert np.array_equal(bits(states._pmf_terms(start, stop, lam)), bits(reference_pmf(k, lam)))
+
+
 def test_pmf_support_at_the_top_of_the_float_range():
     lo, hi = states._pmf_support(sys.float_info.max)
     assert 0 < lo < hi
@@ -603,14 +620,35 @@ def test_mes_overlaps_closed_forms():
     assert big[2] == pytest.approx(big[0] * 1e-3 / math.sqrt(1e3), rel=1e-15)
 
 
+def full_length_overlaps(b, dims):
+    """mes_overlaps' gmes branch with its prefix sum run to b^2 + 40 b + 60, whatever N is."""
+    lam = b * b
+    csum = np.cumsum(np.sqrt(states._poisson_tail_array(lam, int(lam + states._tail_window(lam))) / lam))
+    return [min(1.0, float(csum[min(dim, csum.size) - 1]) / math.sqrt(dim)) for dim in dims]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.floats(1.7e-162, 45.0),  # b^2 a positive float
+       st.lists(st.integers(1, 5000) | st.integers(1, 40) | st.integers(1, 10**9), max_size=6))
+@example(45.0, [1, 2025, 2025 + 1860, 2025 + 1861, 2025 + 1862, 10**9])  # N at and past nmax + 1
+@example(0.5, [])
+@example(30.0, [5, 20, 200, 1000])  # fig2 a at its defaults
+def test_mes_overlaps_sum_only_to_the_largest_dimension(b, dims):
+    # an overlap with MES_N reads no tail past n = N - 1, and the tails it
+    # does read are the full-length array's, bit for bit
+    assert bits(mes_overlaps("gmes", b, dims)).tolist() == bits(full_length_overlaps(b, dims)).tolist()
+
+
 def test_mes_overlaps_past_the_spectrum_cap():
     # b = 300 and 400 raise in gmes_spectrum (fault F-trunc), but the overlap
     # window b^2 + 40 b + 60 is under the cap
     for b in (300.0, 400.0):
         values = mes_overlaps("gmes", b, [1, int(b * b), 10**7])
         assert all(0.0 < v <= 1.0 for v in values)
-    with pytest.raises(TruncationError):
-        mes_overlaps("gmes", 15.0, [5], cap=100)
+    # the cap is checked against the whole window b^2 + 40 b + 60, not the largest N
+    for dims in ([5], []):
+        with pytest.raises(TruncationError):
+            mes_overlaps("gmes", 15.0, dims, cap=100)
 
 
 def test_mes_overlaps_errors():
