@@ -97,8 +97,11 @@ def _emit(header, rows, out: str | None) -> None:
     if out is None:
         _write_csv(sys.stdout, header, rows)
         return
-    with open(out, "w", encoding="ascii", newline="") as handle:
-        _write_csv(handle, header, rows)
+    try:
+        with open(out, "w", encoding="ascii", newline="") as handle:
+            _write_csv(handle, header, rows)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {out}: {exc}") from exc
 
 
 def _parse_state_spec(spec: str):
@@ -368,6 +371,8 @@ def _load_config(path: str, subparser: argparse.ArgumentParser) -> list:
             lines = handle.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     tokens = []
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()

@@ -1,6 +1,14 @@
-"""Correlation functions, explicit Bell evaluation and the settings search."""
+"""The settings search, checked against an explicit 3x3 model of the Bell value.
+
+The search in ``gmeslab.bell_oracle`` works on link phases only.  This module
+holds the reference it is checked against: unitary three-outcome observables
+built from Gell-Mann generators, their correlations, and the Bell value at a
+full measurement choice.  The Bell combination itself is the library's
+``_bell_from_correlations``, so it exists once.
+"""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,31 +17,165 @@ from hypothesis import strategies as st
 from scipy.linalg import schur
 
 from gmeslab import (
-    GENERATORS,
-    REF_OBSERVABLE,
-    SHIFT,
     DomainError,
-    MeasurementSettings,
     QutritState,
     bell_max_analytic,
-    bell_value,
-    canonical_settings,
-    correlation,
     maximize_bell,
-    observable_from_params,
 )
 from gmeslab import bell_oracle
 from gmeslab.bell_oracle import (
     _BASE_DECORATIONS,
     _LINK_WEIGHTS,
     _MAX_RESTARTS,
-    _SHIFT_DIAGONALIZER,
+    _bell_from_correlations,
     _exact_move,
     _links,
-    _params_from_unitary,
     _phase_bell,
-    _settings_from_phases,
 )
+
+# ---------------------------------------------------------------------------
+# reference model: 3x3 observables with spectrum {1, w, w^2}
+# ---------------------------------------------------------------------------
+
+_W = np.exp(2j * np.pi / 3.0)
+
+#: Reference observable: diagonal with the three cube roots of unity.
+REF_OBSERVABLE = np.diag([1.0 + 0.0j, _W, _W**2])
+REF_OBSERVABLE.setflags(write=False)
+
+
+def _gell_mann() -> np.ndarray:
+    g = np.zeros((8, 3, 3), dtype=complex)
+    g[0, 0, 1] = g[0, 1, 0] = 1.0
+    g[1, 0, 1] = -1j
+    g[1, 1, 0] = 1j
+    g[2, 0, 0] = 1.0
+    g[2, 1, 1] = -1.0
+    g[3, 0, 2] = g[3, 2, 0] = 1.0
+    g[4, 0, 2] = -1j
+    g[4, 2, 0] = 1j
+    g[5, 1, 2] = g[5, 2, 1] = 1.0
+    g[6, 1, 2] = -1j
+    g[6, 2, 1] = 1j
+    g[7] = np.diag([1.0, 1.0, -2.0]) / math.sqrt(3.0)
+    g.setflags(write=False)
+    return g
+
+
+#: The eight traceless Hermitian generators spanning the observable parameterization.
+GENERATORS = _gell_mann()
+
+#: Cyclic raising matrix: SHIFT |l> = |l+1 mod 3>.
+SHIFT = np.roll(np.eye(3, dtype=complex), 1, axis=0)
+SHIFT.setflags(write=False)
+
+# F (x) index swap diagonalizes the shift: SHIFT = M REF_OBSERVABLE M+.
+_FOURIER = np.exp(2j * np.pi * np.outer(np.arange(3), np.arange(3)) / 3.0) / math.sqrt(3.0)
+_SHIFT_DIAGONALIZER = _FOURIER @ np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
+
+_UNITARY_TOL = 1e-10
+_EIGENVALUE_TOL = 1e-8
+
+
+def observable_from_params(theta) -> np.ndarray:
+    """Unitary observable exp(iH) Omega exp(-iH) for H = sum_j theta_j G_j."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (8,):
+        raise DomainError(f"observable parameters must have shape (8,), got {theta.shape}")
+    return _observables_from_params(theta[np.newaxis])[0]
+
+
+def _observables_from_params(thetas: np.ndarray) -> np.ndarray:
+    """Batched form: (..., 8) parameter blocks -> (..., 3, 3) observables."""
+    h = np.einsum("...j,jkl->...kl", thetas, GENERATORS)
+    w, v = np.linalg.eigh(h)
+    u = (v * np.exp(1j * w)[..., np.newaxis, :]) @ np.conjugate(np.swapaxes(v, -1, -2))
+    return u @ REF_OBSERVABLE @ np.conjugate(np.swapaxes(u, -1, -2))
+
+
+def schur_params(u):
+    # principal logarithm through the complex Schur form; any trace part only
+    # shifts U by a global phase, which the conjugation U Omega U+ ignores
+    t, z = schur(u, output="complex")
+    gen = (z * np.angle(np.diag(t))) @ np.conjugate(z.T)
+    gen = 0.5 * (gen + np.conjugate(gen.T))
+    return np.einsum("jkl,lk->j", GENERATORS, gen).real / 2.0
+
+
+def _settings_from_phases(phases) -> "MeasurementSettings":
+    """Parameter block of the decorated shifts D SHIFT D+ at the search's local phases."""
+    chis = _BASE_DECORATIONS + np.reshape(phases, (2, 3))[[0, 0, 1, 1]]
+    unitaries = np.exp(1j * chis)[:, :, np.newaxis] * _SHIFT_DIAGONALIZER
+    return MeasurementSettings(np.array([schur_params(u) for u in unitaries]))
+
+
+def canonical_settings() -> "MeasurementSettings":
+    """The settings at which the Bell value equals the closed-form ceiling.
+
+    For every state with nonnegative coefficients these four observables give
+    exactly 4 a0 a1 + (4/sqrt(3)) (a0 a2 + a1 a2); for the uniform state that
+    is the peak value 2.8729...
+    """
+    return _settings_from_phases(np.zeros(6))
+
+
+def _check_observable_unitary(m: np.ndarray, name: str) -> None:
+    m = np.asarray(m)
+    if m.shape != (3, 3):
+        raise DomainError(f"{name} must be a 3x3 matrix, got shape {m.shape}")
+    defect = np.max(np.abs(m @ np.conjugate(m.T) - np.eye(3)))
+    if defect > _UNITARY_TOL:
+        raise DomainError(f"{name} is not unitary (defect {defect:.3e})")
+
+
+@dataclass(frozen=True)
+class MeasurementSettings:
+    """Four observables (Alice's A1, A2 then Bob's B1, B2) as a (4, 8) parameter block."""
+
+    params: np.ndarray
+
+    def __post_init__(self):
+        params = np.asarray(self.params, dtype=float)
+        object.__setattr__(self, "params", params)
+        if params.shape != (4, 8):
+            raise DomainError(f"settings parameters must have shape (4, 8), got {params.shape}")
+        if not np.all(np.isfinite(params)):
+            raise DomainError("settings parameters must be finite")
+
+    def observables(self) -> np.ndarray:
+        """The four 3x3 unitaries in order A1, A2, B1, B2."""
+        return _observables_from_params(self.params)
+
+    def validate(self) -> None:
+        """Check unitarity and the {1, w, w^2} spectrum of every observable."""
+        roots = np.diag(REF_OBSERVABLE)
+        for name, obs in zip(("A1", "A2", "B1", "B2"), self.observables()):
+            _check_observable_unitary(obs, name)
+            eigs = np.linalg.eigvals(obs)
+            # each cube root must be matched by exactly one eigenvalue
+            dist = np.abs(eigs[:, np.newaxis] - roots[np.newaxis, :])
+            order = np.argmin(dist, axis=1)
+            if sorted(order.tolist()) != [0, 1, 2] or np.max(np.min(dist, axis=1)) > _EIGENVALUE_TOL:
+                raise DomainError(f"{name} spectrum is not the three cube roots of unity")
+
+
+def correlation(q: QutritState, a_obs, b_obs) -> complex:
+    """Correlation <psi| A (x) B |psi> for |psi> = sum_k a_k |kk>."""
+    a_obs = np.asarray(a_obs, dtype=complex)
+    b_obs = np.asarray(b_obs, dtype=complex)
+    _check_observable_unitary(a_obs, "A")
+    _check_observable_unitary(b_obs, "B")
+    outer = q.a[:, np.newaxis] * q.a[np.newaxis, :]
+    return complex(np.sum(outer * a_obs * b_obs))
+
+
+def bell_value(q: QutritState, settings: MeasurementSettings) -> float:
+    """Bell combination evaluated at the given measurement settings."""
+    obs = settings.observables()
+    outer = q.a[:, np.newaxis] * q.a[np.newaxis, :]
+    qmat = np.einsum("kl,ikl,jkl->ij", outer, obs[:2], obs[2:])
+    return float(_bell_from_correlations(qmat))
+
 
 UNIFORM = QutritState(np.full(3, 1.0 / math.sqrt(3.0)))
 
@@ -222,7 +364,7 @@ def test_maximize_deterministic():
     r1 = maximize_bell(UNIFORM, restarts=3, seed=7)
     r2 = maximize_bell(UNIFORM, restarts=3, seed=7)
     assert r1.value == r2.value
-    assert np.array_equal(r1.settings.params, r2.settings.params)
+    assert np.array_equal(r1.phases, r2.phases)
 
 
 @settings(max_examples=25, deadline=None)
@@ -242,7 +384,7 @@ def test_maximize_monotone_in_restarts(a, seed, fewer, extra):
     large = maximize_bell(q, restarts=fewer + extra, seed=seed)
     assert large.value >= small.value
     if large.value == small.value:
-        assert np.array_equal(large.settings.params, small.settings.params)
+        assert np.array_equal(large.phases, small.phases)
 
 
 def test_maximize_reports_the_sweep_limit(monkeypatch):
@@ -280,6 +422,16 @@ def test_maximize_freezes_a_stopped_restart(monkeypatch):
                 assert np.array_equal(phases[row], seen[sweep][0][row])
 
 
+def criterion_2_states():
+    # the 20 states of acceptance criterion 2
+    rng = np.random.default_rng(2024)
+    states = []
+    for _ in range(20):
+        a = rng.uniform(0.0, 1.0, 3)
+        states.append(QutritState(a / np.linalg.norm(a)))
+    return states
+
+
 def test_maximize_sweeps_on_the_criterion_2_states(monkeypatch):
     # _phase_bell runs once on the starts and once per sweep
     calls = []
@@ -290,10 +442,7 @@ def test_maximize_sweeps_on_the_criterion_2_states(monkeypatch):
         return phase_bell(q, phases)
 
     monkeypatch.setattr(bell_oracle, "_phase_bell", spy)
-    rng = np.random.default_rng(2024)
-    for _ in range(20):
-        a = rng.uniform(0.0, 1.0, 3)
-        q = QutritState(a / np.linalg.norm(a))
+    for q in criterion_2_states():
         calls.clear()
         result = maximize_bell(q, restarts=32, seed=0)
         assert result.converged
@@ -301,10 +450,15 @@ def test_maximize_sweeps_on_the_criterion_2_states(monkeypatch):
         assert abs(result.value - bell_max_analytic(q).value) <= 1e-12 * result.value
 
 
-def test_maximize_result_settings_reproduce_value():
-    result = maximize_bell(UNIFORM, restarts=2, seed=3)
-    result.settings.validate()
-    assert bell_value(UNIFORM, result.settings) == pytest.approx(result.value, abs=1e-10)
+def test_reference_settings_reproduce_the_value_on_the_criterion_2_states():
+    # the 3x3 model at the settings of the returned phases gives the value the
+    # link-phase search reports
+    for q in criterion_2_states():
+        result = maximize_bell(q, restarts=32, seed=0)
+        assert result.phases.shape == (6,)
+        reference = _settings_from_phases(result.phases)
+        reference.validate()
+        assert abs(bell_value(q, reference) - result.value) <= 1e-14 * result.value
 
 
 def test_maximize_argument_validation():
@@ -331,24 +485,6 @@ def test_maximize_restart_cap(monkeypatch):
         maximize_bell(UNIFORM, restarts=10**8)
     with pytest.raises(DomainError, match="restarts"):
         maximize_bell(UNIFORM, restarts=_MAX_RESTARTS + 1)
-
-
-def schur_params(u):
-    # reference principal logarithm through the complex Schur form
-    t, z = schur(u, output="complex")
-    gen = (z * np.angle(np.diag(t))) @ np.conjugate(z.T)
-    gen = 0.5 * (gen + np.conjugate(gen.T))
-    return np.einsum("jkl,lk->j", GENERATORS, gen).real / 2.0
-
-
-def test_params_from_unitary_matches_schur():
-    rng = np.random.default_rng(61)
-    blocks = [np.zeros(6)] + [rng.uniform(-np.pi, np.pi, 6) for _ in range(200)]
-    for phases in blocks:
-        chis = _BASE_DECORATIONS + np.reshape(phases, (2, 3))[[0, 0, 1, 1]]
-        for chi in chis:
-            unitary = np.exp(1j * chi)[:, np.newaxis] * _SHIFT_DIAGONALIZER
-            np.testing.assert_allclose(_params_from_unitary(unitary), schur_params(unitary), rtol=0, atol=1e-13)
 
 
 def test_phase_bell_matches_bell_value():
@@ -380,6 +516,22 @@ def test_maximize_never_exceeds_the_closed_form(a, seed):
     value = maximize_bell(q, seed=seed).value
     assert value <= want * (1.0 + 1e-12)
     assert value >= want * (1.0 - 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(COEFFS, COEFFS, COEFFS).filter(any), st.integers(0, 2**32 - 1))
+@example((1.0, 1.0, 1.0), 3)
+@example((1.0, 1e-4, 1e-8), 3)
+@example((1e-150, 1.0, 1e-150), 0)
+def test_reference_settings_reproduce_the_value_on_drawn_states(a, seed):
+    # absolute, not relative: the 3x3 path rounds on the scale of the largest
+    # product a_k a_l, so a value made of tiny coefficients carries errors far
+    # above itself
+    q = QutritState(np.divide(a, math.hypot(*a)))
+    result = maximize_bell(q, seed=seed)
+    reference = _settings_from_phases(result.phases)
+    reference.validate()
+    assert abs(bell_value(q, reference) - result.value) <= 1e-14
 
 
 @settings(max_examples=60, deadline=None)

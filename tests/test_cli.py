@@ -812,6 +812,25 @@ def test_config_missing_file(capsys, tmp_path):
     assert code == 2
 
 
+def test_config_file_that_is_not_utf8(capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfe=1\n")
+    code, out, err = run(capsys, "bell-oracle", "--config", str(cfg), "--a", "1", "1", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(cfg) in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize("where", ["missing/x.csv", "."])
+def test_out_path_that_cannot_be_opened(capsys, tmp_path, where):
+    # a missing directory, or a directory in place of a file
+    path = tmp_path / where
+    code, out, err = run(capsys, "fig1", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write output file ") and err.count("\n") == 1
+    assert str(path) in err
+
+
 def test_number_formatting(capsys):
     # floats carry 12 significant digits; integer-valued floats keep a .0 marker
     code, out, _ = run(capsys, "fidelity", "mes:N=3", "mes:N=3")

@@ -49,7 +49,7 @@ def test_integral_floats_act_as_their_integers():
     assert np.array_equal(pseudo_phase_gram(1.0, 3.0), pseudo_phase_gram(1.0, 3))
     got, want = maximize_bell(UNIFORM, restarts=2.0, seed=3.0), maximize_bell(UNIFORM, restarts=2, seed=3)
     assert (got.value, got.restarts_used) == (want.value, want.restarts_used)
-    assert np.array_equal(got.settings.params, want.settings.params)
+    assert np.array_equal(got.phases, want.phases)
 
 
 @pytest.mark.parametrize("lam", [0.0, 2.0, 1e4])
