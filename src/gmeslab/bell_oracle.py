@@ -23,7 +23,7 @@ form.
 
 The search is exact coordinate ascent from random phases: along any one phase
 the Bell value is a sinusoid, so each move goes straight to its maximum, and a
-restart stops once a sweep of all six moves gains at most a relative ``tol``
+restart stops once a sweep of all six moves gains at most a relative ``_TOL``
 of its value.  It never evaluates the closed form.
 """
 
@@ -55,7 +55,7 @@ _NEXT = np.array([1, 2, 0])
 _NEXT.setflags(write=False)
 
 _DEFAULT_RESTARTS = 32
-_DEFAULT_TOL = 1e-12
+_TOL = 1e-12  # relative gain of a sweep at which a restart stops
 _MAX_SWEEPS = 5000
 # Most restarts; each one holds its own generator and array rows, so more
 # than this is taken for a typo, not a request.
@@ -117,12 +117,7 @@ def _exact_move(terms: np.ndarray, coord: int) -> np.ndarray:
     return -np.angle(terms[..., coord - 1] + np.conjugate(terms[..., coord]))
 
 
-def maximize_bell(
-    q: QutritState,
-    restarts: int = _DEFAULT_RESTARTS,
-    seed: int = 0,
-    tol: float = _DEFAULT_TOL,
-) -> BellResult:
+def maximize_bell(q: QutritState, restarts: int = _DEFAULT_RESTARTS, seed: int = 0) -> BellResult:
     """Multi-start exact coordinate ascent over the parties' local reference phases.
 
     Each restart starts from phases drawn with an independent seed sequence
@@ -130,7 +125,7 @@ def maximize_bell(
     monotone nondecreasing when ``restarts`` grows with the same seed.  A
     sweep moves party A's three phases, then party B's, each to the exact
     maximizer of the Bell value along it.  A restart stops on the first sweep
-    that raises its value by at most ``tol * |value|`` and is frozen from
+    that raises its value by at most ``_TOL * |value|`` and is frozen from
     then on; ``converged`` reports whether the winner stopped so within the
     hard sweep limit.  The winning six phases are returned as they stand,
     not reduced mod 2 pi.
@@ -148,8 +143,6 @@ def maximize_bell(
     """
     restarts = check_integer(restarts, "restarts", 1, _MAX_RESTARTS)
     seed = check_integer(seed, "seed", 0)
-    if not (0.0 < tol < 1.0):
-        raise DomainError(f"relative tolerance must lie in (0, 1), got {tol}")
 
     rngs = (np.random.default_rng([seed, i]) for i in range(restarts))
     phases = np.stack([rng.uniform(-np.pi, np.pi, size=6) for rng in rngs])
@@ -166,7 +159,7 @@ def maximize_bell(
                 move = _exact_move(pull * _links(phases[:, block]), coord)
                 phases[:, 3 * party + coord] += np.where(active, move, 0.0)
         previous, value = value, _phase_bell(q, phases)
-        active &= value - previous > tol * np.abs(previous)
+        active &= value - previous > _TOL * np.abs(previous)
         sweeps += 1
 
     winner = int(np.argmax(value))

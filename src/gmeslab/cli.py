@@ -7,7 +7,6 @@ oracle-vs-formula gap above the acceptance threshold.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from dataclasses import dataclass
@@ -76,52 +75,41 @@ class SweepConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, float):
+        text = f"{value:.12g}"
+        return text + ".0" if text.lstrip("-").isdigit() else text
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    text = f"{float(value):.12g}"
-    if text.lstrip("-").isdigit():
-        text += ".0"
-    return text
-
-
-def _write_csv(handle, header, rows) -> None:
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([cell if isinstance(cell, str) else _fmt(cell) for cell in row])
+    return str(value)  # a str or an int
 
 
 def _emit(header, rows, out: str | None) -> None:
+    # no cell needs CSV quoting: numbers never hold a comma, a quote or a line
+    # break, and _parse_state_spec accepts no spec that does
+    text = "".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows])
     if out is None:
-        _write_csv(sys.stdout, header, rows)
+        sys.stdout.write(text)
         return
     try:
-        with open(out, "w", encoding="ascii", newline="") as handle:
-            _write_csv(handle, header, rows)
+        with open(out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write output file {out}: {exc}") from exc
 
 
 def _parse_state_spec(spec: str):
     """``family:key=value`` as ``(family, value)``, with an int value for mes."""
-    family, sep, rest = spec.partition(":")
-    family = family.strip()
-    usage = "state spec must look like tmsv:r=1.0, gmes:b=15 or mes:N=200"
-    if not sep or family not in _FAMILY_KEYS:
-        raise DomainError(f"{usage}, got {spec!r}")
-    fields = {}
-    for part in rest.split(","):
-        key, eq, value = part.partition("=")
-        if not eq or not key.strip():
-            raise DomainError(f"{usage}, got {spec!r}")
-        fields[key.strip()] = value.strip()
+    family, _, field = spec.partition(":")
+    key, eq, value = field.partition("=")
+    family, key = family.strip(), key.strip()
+    if family not in _FAMILY_KEYS or not eq or "\r" in spec or "\n" in spec:
+        raise DomainError(f"state spec must be one family:key=value line, like gmes:b=15 or mes:N=9, got {spec!r}")
     expected = _FAMILY_KEYS[family]
-    if set(fields) != {expected}:
-        raise DomainError(f"family {family} takes exactly the key {expected!r}, got {sorted(fields)}")
+    if key != expected:
+        raise DomainError(f"family {family} takes exactly the key {expected!r}, got {key!r}")
     try:
-        return family, (int if family == "mes" else float)(fields[expected])
+        # a second key=value, after a comma, makes the value fail to parse
+        return family, (int if family == "mes" else float)(value)
     except ValueError as exc:
         raise DomainError(f"bad numeric value in state spec {spec!r}") from exc
 
@@ -211,19 +199,19 @@ def cmd_fig2(args) -> int:
     cfg = SweepConfig(start=start, stop=stop, steps=steps, spacing=spacing)
 
     if args.variant in ("a", "b"):
-        dims = args.dims
-        use_nbar = args.x == "nbar"
-        rows = []
-        for value in cfg.grid():
-            x = value
-            if use_nbar:
-                try:
-                    x = value * value / 2.0 if family == "gmes" else math.sinh(value) ** 2
-                except OverflowError:
-                    raise DomainError(f"fig2 --x nbar needs a finite sinh(r)^2, got r={_fmt(value)}") from None
-            rows.append((x, *mes_overlaps(family, value, dims, args.cap)))
-        xname = "nbar" if use_nbar else ("b" if family == "gmes" else "r")
-        _emit((xname, *[f"fid_N{dim}" for dim in dims]), rows, args.out)
+        # the overlaps come first, so that a bad parameter fails with their error
+        grid = cfg.grid()
+        overlaps = mes_overlaps(family, grid, args.dims, args.cap)
+        x = grid
+        if args.x == "nbar":
+            with np.errstate(over="ignore"):
+                x = grid * grid / 2.0 if family == "gmes" else np.sinh(grid) ** 2
+            # b is below ~450 once its overlaps exist, so only sinh(r)^2 can overflow
+            if not np.isfinite(x).all():
+                raise DomainError(f"fig2 --x nbar needs a finite sinh(r)^2, got r={_fmt(grid[~np.isfinite(x)][0])}")
+        xname = "nbar" if args.x == "nbar" else ("b" if family == "gmes" else "r")
+        rows = [(x_value, *row) for x_value, row in zip(x.tolist(), overlaps)]
+        _emit((xname, *[f"fid_N{dim}" for dim in args.dims]), rows, args.out)
         return 0
 
     dims = cfg.integer_grid()

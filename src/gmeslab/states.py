@@ -261,17 +261,19 @@ def _geometric_cut(log_q: float, tol: float, cap: int, what: str) -> tuple[int, 
     return cut, math.exp((cut + 1) * log_q)
 
 
-def _log_tanh(r: float) -> float:
+def _log_tanh(r):
     # log(tanh r) = log(1 - e) - log1p(e) with e = exp(-2r).  log1p(-e) keeps
     # full relative accuracy for large r, where 1 - tanh(r) ~ 2e is tiny;
-    # for small r, -expm1(-2r) gives 1 - e without cancellation.
-    e = math.exp(-2.0 * r)
-    return (math.log1p(-e) if e < 0.5 else math.log(-math.expm1(-2.0 * r))) - math.log1p(e)
+    # for small r, -expm1(-2r) gives 1 - e without cancellation.  r = 0 gives
+    # -inf; log1p(-1) for r below ~1e-16 is a branch np.where drops.
+    e = np.exp(-2.0 * r)
+    with np.errstate(divide="ignore"):
+        return np.where(e < 0.5, np.log1p(-e), np.log(-np.expm1(-2.0 * r))) - np.log1p(e)
 
 
-def _log_cosh(r: float) -> float:
+def _log_cosh(r):
     # Overflow-safe: cosh(r) itself overflows near r ~ 710.
-    return r + math.log1p(math.exp(-2.0 * r)) - math.log(2.0)
+    return r + np.log1p(np.exp(-2.0 * r)) - math.log(2.0)
 
 
 def tmsv_spectrum(r: float, tol: float = DEFAULT_TOL, cap: int = MAX_CUTOFF) -> SchmidtSpectrum:
@@ -305,7 +307,7 @@ def mes_spectrum(N: int) -> SchmidtSpectrum:
     return SchmidtSpectrum(np.full(N, 1.0 / math.sqrt(N)), 0.0, "mes")
 
 
-def mes_overlaps(family: str, value: float, dims, cap: int = MAX_CUTOFF) -> list:
+def mes_overlaps(family: str, value, dims, cap: int = MAX_CUTOFF) -> list:
     """Overlap sum_{n<N} c_n / sqrt(N), clamped to 1, of MES_N and an untruncated state.
 
     One value per N in ``dims``, exact for every N (a truncated spectrum would
@@ -316,36 +318,49 @@ def mes_overlaps(family: str, value: float, dims, cap: int = MAX_CUTOFF) -> list
       n = b^2 + 40 b + 60, past which the terms add under 1e-75 of it
       (``TruncationError`` if that n exceeds ``cap``, whatever N is);
     * "mes", value M: min(N, M) / sqrt(N M).
+
+    A 1-d sequence of r or b gives one such list per value, as its own call would.
     """
     _check_cap(cap)
+    scalar = np.ndim(value) == 0
+    if not scalar and (family == "mes" or np.ndim(value) > 1):
+        raise DomainError(f"value must be a number, or for tmsv and gmes a 1-d sequence, got {value!r}")
     # every dimension must convert to a float, as sqrt(N) does
     sizes = [*dims, value] if family == "mes" else list(dims)
     if not all(1 <= N <= sys.float_info.max and int(N) == N for N in sizes):
         raise DomainError(f"dimensions must be integers from 1 to {sys.float_info.max:.4g}, got {sizes}")
     dims = [int(dim) for dim in dims]
+    n = np.array(dims, dtype=float)
     if family == "mes":
         # min(N, M) / sqrt(N M) as sqrt(min/max): N M may pass the float range
-        overlaps = [math.sqrt(min(dim, value) / max(dim, value)) for dim in dims]
+        overlaps = [[math.sqrt(min(dim, value) / max(dim, value)) for dim in dims]]
     elif family == "tmsv":
-        if not math.isfinite(value) or value < 0.0:
-            raise DomainError(f"squeezing parameter r must be nonnegative, got {value}")
-        log_t = _log_tanh(value) if value > 0.0 else -math.inf
-        scale = math.exp(-_log_cosh(value))
+        r = np.atleast_1d(np.asarray(value, dtype=float))
+        invalid = r[~(np.isfinite(r) & (r >= 0.0))]
+        if invalid.size:
+            raise DomainError(f"squeezing parameter r must be nonnegative, got {invalid[0]}")
+        log_t = _log_tanh(r)[:, None]
         # (1 - t^N) / (1 - t) through expm1 stays accurate as t -> 1; a t that
-        # rounds to 1 leaves N equal terms
-        sums = [math.expm1(dim * log_t) / math.expm1(log_t) if log_t < 0.0 else dim for dim in dims]
-        overlaps = [total * scale / math.sqrt(dim) for total, dim in zip(sums, dims)]
+        # rounds to 1 leaves N equal terms, where np.where drops 0/0
+        with np.errstate(invalid="ignore"):
+            sums = np.where(log_t < 0.0, np.expm1(n * log_t) / np.expm1(log_t), n)
+        overlaps = sums * np.exp(-_log_cosh(r))[:, None] / np.sqrt(n)
     elif family == "gmes":
-        lam = _poisson_mean(value)
-        nmax = int(lam + _tail_window(lam))
-        if nmax > cap:
-            raise TruncationError(f"overlap sum for b={value} needs {nmax} terms, past the hard cap {cap}")
-        # an overlap with MES_N reads no tail past n = N - 1
-        csum = np.cumsum(np.sqrt(_poisson_tail_array(lam, min(nmax, max(dims, default=1) - 1)) / lam))
-        overlaps = [float(csum[min(dim, csum.size) - 1]) / math.sqrt(dim) for dim in dims]
+        radii = np.atleast_1d(np.asarray(value, dtype=float)).tolist()
+        overlaps = np.empty((len(radii), n.size))
+        for row, b in zip(overlaps, radii):
+            lam = _poisson_mean(b)
+            nmax = int(lam + _tail_window(lam))
+            if nmax > cap:
+                raise TruncationError(f"overlap sum for b={b} needs {nmax} terms, past the hard cap {cap}")
+            # an overlap with MES_N reads no tail past n = N - 1
+            csum = np.cumsum(np.sqrt(_poisson_tail_array(lam, min(nmax, max(dims, default=1) - 1)) / lam))
+            row[:] = csum[np.minimum(n, csum.size).astype(int) - 1]
+        overlaps /= np.sqrt(n)
     else:
         raise DomainError(f"unknown family {family!r}, expected tmsv, gmes or mes")
-    return [min(1.0, overlap) for overlap in overlaps]
+    overlaps = np.minimum(overlaps, 1.0).tolist()
+    return overlaps[0] if scalar else overlaps
 
 
 def mean_photon(s: SchmidtSpectrum) -> float:

@@ -466,10 +466,6 @@ def test_maximize_argument_validation():
         maximize_bell(UNIFORM, restarts=0)
     with pytest.raises(DomainError):
         maximize_bell(UNIFORM, restarts=2.5)
-    with pytest.raises(DomainError):
-        maximize_bell(UNIFORM, tol=0.0)
-    with pytest.raises(DomainError):
-        maximize_bell(UNIFORM, tol=1.0)
     for seed in (-1, 2.5):
         with pytest.raises(DomainError, match="seed"):
             maximize_bell(UNIFORM, restarts=1, seed=seed)

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import io
 import math
 import os
@@ -22,7 +23,7 @@ from scipy.special import pdtrc
 import gmeslab.cli
 import gmeslab.crosskerr
 import gmeslab.states
-from gmeslab import ConfigError, QutritState, bell_max_analytic, fidelity, gmes_spectrum, mes_spectrum, tmsv_spectrum
+from gmeslab import ConfigError, DomainError, QutritState, bell_max_analytic, fidelity, gmes_spectrum, mes_spectrum, tmsv_spectrum
 from gmeslab.cli import SweepConfig, main
 
 
@@ -196,7 +197,11 @@ def test_fidelity_mes_target_is_exact(capsys):
 
 @pytest.mark.parametrize(
     "spec",
-    ["foo:r=1", "tmsv:b=1", "tmsv", "tmsv:r=abc", "gmes:b=1,r=2", "mes:N=0", "mes:N=2.5"],
+    [
+        "foo:r=1", "tmsv:b=1", "tmsv", "tmsv:r=abc", "gmes:b=1,r=2", "mes:N=0", "mes:N=2.5",
+        # a repeated key, and line breaks: a spec is echoed as one CSV cell
+        "gmes:b=15,b=16", "mes:N=200,N=200", "gmes:b=15\n", "tmsv\r:r=1.0", "mes:N=\n200",
+    ],
 )
 def test_fidelity_bad_specs(capsys, spec):
     code, _, err = run(capsys, "fidelity", spec, "mes:N=3")
@@ -527,6 +532,22 @@ def test_dimensions_past_the_float_range(capsys):
     assert out.splitlines()[1].endswith(",1.0")
 
 
+@pytest.mark.parametrize("argv", [("--variant", "a"), ("--variant", "b"), ("--variant", "b", "--x", "nbar")])
+def test_fig2_sweep_is_one_overlap_call(capsys, monkeypatch, argv):
+    calls = []
+    overlaps = gmeslab.cli.mes_overlaps
+
+    def count_calls(*args, **kwargs):
+        calls.append(args[0])
+        return overlaps(*args, **kwargs)
+
+    monkeypatch.setattr(gmeslab.cli, "mes_overlaps", count_calls)
+    code, out, _ = run(capsys, "fig2", *argv)
+    assert code == 0
+    assert len(rows_of(out)[1]) == 300
+    assert len(calls) == 1
+
+
 def test_fig2_usage_errors(capsys):
     assert run(capsys, "fig2")[0] == 2
     assert run(capsys, "fig2", "--variant", "e")[0] == 2
@@ -752,6 +773,17 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     assert on_disk.endswith("\n")
 
 
+def test_out_file_holds_a_non_ascii_spec_as_utf8(capsys, tmp_path):
+    # float() reads fullwidth digits, and the spec is echoed as given
+    path = tmp_path / "u.csv"
+    argv = ("fidelity", "gmes:b=\uff11\uff15", "mes:N=200")
+    assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == "state_a,state_b,fidelity\ngmes:b=\uff11\uff15,mes:N=200,0.9421707088\n"
+    assert path.read_bytes() == out.encode("utf-8")
+
+
 def test_config_supplies_defaults(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# sweep setup\nr=2.0\n\ntol=1e-10\n")
@@ -839,3 +871,69 @@ def test_number_formatting(capsys):
     code, out, _ = run(capsys, "fidelity", "tmsv:r=1.0", "mes:N=3")
     value = out.splitlines()[1].split(",")[2]
     assert value == f"{fidelity(tmsv_spectrum(1.0), mes_spectrum(3)):.12g}"
+
+
+def csv_reference(header, rows):
+    """The CSV csv.writer wrote before the joined writer, with its per-cell rule."""
+
+    def cell(value):
+        if isinstance(value, str):
+            return value
+        if isinstance(value, (bool, np.bool_)):
+            return "true" if value else "false"
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        text = f"{float(value):.12g}"
+        if text.lstrip("-").isdigit():
+            text += ".0"
+        return text
+
+    handle = io.StringIO()
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([cell(value) for value in row])
+    return handle.getvalue()
+
+
+def accepted(spec):
+    try:
+        gmeslab.cli._parse_state_spec(spec)
+    except DomainError:
+        return False
+    return True
+
+
+# str.strip() and float() both drop these; none of them makes csv quote a cell
+SPACE = st.text(" \t\x0b\x0c\x1c\x85\u2028\u3000", max_size=2)
+SPEC_VALUES = {
+    "tmsv:r": st.floats().map(repr),
+    "gmes:b": st.floats().map(repr) | st.just("\uff11\uff15"),
+    "mes:N": st.integers(-10, 10**30).map(str),
+}
+
+
+def padded_spec(name, value, pads):
+    family, key = name.split(":")
+    return "{}{}{}:{}{}{}={}{}{}".format(pads[0], family, pads[1], pads[2], key, pads[3], pads[4], value, pads[5])
+
+
+SPECS = st.sampled_from(sorted(SPEC_VALUES)).flatmap(
+    lambda name: st.builds(padded_spec, st.just(name), SPEC_VALUES[name], st.tuples(*[SPACE] * 6))
+).filter(accepted)
+CELLS = (
+    st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0])
+    | st.integers(-10**20, 10**20).map(float)
+    | st.integers()
+    | st.booleans()
+    | SPECS
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(SPECS, min_size=1, max_size=3), st.lists(st.lists(CELLS, min_size=1, max_size=5), max_size=4))
+def test_emit_writes_what_csv_writer_wrote(header, rows):
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        gmeslab.cli._emit(header, rows, None)
+    assert stdout.getvalue() == csv_reference(header, rows)

@@ -639,6 +639,25 @@ def test_mes_overlaps_sum_only_to_the_largest_dimension(b, dims):
     assert bits(mes_overlaps("gmes", b, dims)).tolist() == bits(full_length_overlaps(b, dims)).tolist()
 
 
+# A tmsv r past ~372 has tanh(r) round to 1, and r = 0 has log tanh(r) = -inf.
+GRID_VALUES = {
+    "tmsv": st.just(0.0) | st.floats(0.0, 8.0) | st.floats(372.0, 720.0),
+    "gmes": st.floats(1.7e-162, 30.0),  # b^2 a positive float
+}
+
+
+@pytest.mark.parametrize("family", GRID_VALUES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mes_overlaps_over_a_grid_equal_each_scalar_call(family, data):
+    grid = data.draw(st.lists(GRID_VALUES[family], max_size=5))
+    dims = data.draw(st.lists(st.integers(1, 5000) | st.integers(1, 10**15), max_size=4))
+    if data.draw(st.booleans()):
+        grid = np.array(grid)
+    rows = mes_overlaps(family, grid, dims)
+    assert [bits(row).tolist() for row in rows] == [bits(mes_overlaps(family, v, dims)).tolist() for v in grid]
+
+
 def test_mes_overlaps_past_the_spectrum_cap():
     # b = 300 and 400 raise in gmes_spectrum (fault F-trunc), but the overlap
     # window b^2 + 40 b + 60 is under the cap
@@ -667,6 +686,12 @@ def test_mes_overlaps_errors():
         ("tmsv", 1.0, [10**309]),
         ("tmsv", 1.0, [math.inf]),
         ("custom", 1.0, [1]),
+        # M is one dimension; r and b may form a 1-d grid, each point checked
+        ("mes", [3, 4], [1]),
+        ("mes", np.array([3]), [1]),
+        ("tmsv", [[1.0]], [1]),
+        ("tmsv", [1.0, -0.1], [1]),
+        ("gmes", np.array([1.0, 0.0]), [1]),
     ]:
         with pytest.raises(DomainError):
             mes_overlaps(family, value, dims)
