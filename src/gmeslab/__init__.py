@@ -23,15 +23,12 @@ from .states import (
     tmsv_spectrum,
 )
 from .gmms import (
-    GmmsDistribution,
     NumberDistribution,
     gmms_distribution,
     purify,
     thermal_distribution,
 )
 from .metrics import (
-    COEFF_BOUND,
-    BellMax,
     QutritState,
     bell_max_analytic,
     entanglement_entropy,
@@ -54,16 +51,13 @@ from .crosskerr import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BellMax",
     "BellResult",
-    "COEFF_BOUND",
     "ConfigError",
     "DEFAULT_TOL",
     "DegenerateInputError",
     "DomainError",
     "FockVector",
     "GmeslabError",
-    "GmmsDistribution",
     "MAX_CUTOFF",
     "NumberDistribution",
     "QutritState",

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, TruncationError, check_integer
+from .errors import DegenerateInputError, DomainError, TruncationError, check_integer, check_real
 from .states import MAX_CUTOFF, _check_mass, poisson_tail
 
 # Phase states whose Gram matrix has min/max eigenvalue ratio below this are
@@ -79,23 +79,22 @@ class TwoModeFock:
 
 
 def default_cutoff(alpha: complex) -> int:
-    """Fock cutoff |alpha|^2 + 8|alpha| + 20, ample for ~1e-10 truncation loss."""
-    a = abs(alpha)
-    cutoff = a * a + 8.0 * a + 20.0
-    if not math.isfinite(cutoff):
-        raise DomainError(f"alpha must be finite with |alpha|^2 below the float range, got {alpha}")
-    return math.ceil(cutoff)
+    """Fock cutoff |alpha|^2 + 8|alpha| + 20 (~1e-10 loss), at least the 2|alpha|^2 coherent_fock needs."""
+    a = check_real(abs(alpha), "|alpha|", 0.0)
+    if not math.isfinite(2.0 * a * a):
+        raise DomainError(f"alpha must be finite with 2|alpha|^2 below the float range, got {alpha}")
+    # 2 a**2 as coherent_fock's guard computes |alpha|^2: a * a can be one ulp below a**2
+    return math.ceil(max(a * a + 8.0 * a + 20.0, 2.0 * a**2))
 
 
 def coherent_fock(alpha: complex, cutoff: int | None = None) -> FockVector:
     """Coherent-state amplitudes e^(-|alpha|^2/2) alpha^n / sqrt(n!) up to ``cutoff``.
 
-    Amplitudes come from the stable recurrence a_{n+1} = a_n alpha/sqrt(n+1);
-    the exact Poisson tail past the cutoff is recorded as the loss.
+    Amplitudes come from the recurrence a_{n+1} = a_n alpha/sqrt(n+1), finite up to
+    |alpha| ~ 37.7; the exact Poisson tail past the cutoff is recorded as the loss.
     """
+    check_real(abs(alpha), "|alpha|", 0.0)  # first: complex() raises OverflowError past the float range
     alpha = complex(alpha)
-    if not math.isfinite(abs(alpha)):
-        raise DomainError(f"|alpha| must be finite, got {alpha}")
     if cutoff is None:
         cutoff = default_cutoff(alpha)
     cutoff = check_integer(cutoff, "cutoff", 0)
@@ -109,7 +108,10 @@ def coherent_fock(alpha: complex, cutoff: int | None = None) -> FockVector:
     ratios = np.ones(cutoff + 1, dtype=complex)
     if cutoff > 0:
         ratios[1:] = alpha / np.sqrt(np.arange(1.0, cutoff + 1.0))
-    amps = math.exp(-mag_sq / 2.0) * np.cumprod(ratios)
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = math.exp(-mag_sq / 2.0) * np.cumprod(ratios)
+    if not np.isfinite(amps[-1]):  # a partial product that overflows leaves every later one inf or nan
+        raise DomainError(f"the amplitude recurrence overflows the float range at |alpha|^2 = {mag_sq:.3f}")
     loss = poisson_tail(cutoff, mag_sq)
     return FockVector(amps, cutoff, loss)
 

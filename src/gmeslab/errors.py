@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and the integer-argument check.
+"""Exception types shared across the package, and the integer- and real-argument checks.
 
 The CLI maps domain/config/truncation/degeneracy problems to exit 2; no
 subcommand calls the one solver that raises ``SolverError``.
 """
+
+import math
 
 
 class GmeslabError(Exception):
@@ -43,3 +45,15 @@ def check_integer(value, name: str, low: int, high: int | None = None) -> int:
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise DomainError(f"{name} must be an integer {bounds}, got {value}")
     return int(value)
+
+
+def check_real(value, name: str, low: float, *, strict: bool = False) -> float:
+    """``value`` as a float, or ``DomainError`` unless it converts, is finite and is >= low (> low if ``strict``)."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:  # an int past the float range, say
+        # the message names the failure, not the value: str() of an int past 4300 digits raises
+        x, value = math.nan, f"a value float() refuses ({exc})"
+    if not (math.isfinite(x) and (x > low if strict else x >= low)):
+        raise DomainError(f"{name} must be a finite number {'>' if strict else '>='} {low:g}, got {value}")
+    return x

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_real
 from .states import (
     DEFAULT_TOL,
     MAX_CUTOFF,
@@ -45,24 +45,10 @@ class NumberDistribution:
         return int(self.probs.size)
 
 
-@dataclass(frozen=True)
-class GmmsDistribution(NumberDistribution):
-    """Photon-number diagonal of the boundary-b Gaussian maximally mixed state."""
-
-    b: float = 0.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not math.isfinite(self.b) or self.b <= 0.0:
-            raise DomainError(f"boundary radius b must be positive, got {self.b}")
-        if np.any(np.diff(self.probs) > 0.0):
-            raise DomainError("GMMS weights must be nonincreasing in n")
-
-
-def gmms_distribution(b: float, tol: float = DEFAULT_TOL) -> GmmsDistribution:
-    """Diagonal weights p_n = f(n, b), truncated once their sum reaches 1 - tol."""
+def gmms_distribution(b: float, tol: float = DEFAULT_TOL) -> NumberDistribution:
+    """Diagonal weights p_n = f(n, b), nonincreasing in n, truncated once their sum reaches 1 - tol."""
     values, tail = bounded_f_profile(b, tol)
-    return GmmsDistribution(values, tail, b)
+    return NumberDistribution(values, tail)
 
 
 def thermal_distribution(nbar: float, tol: float = DEFAULT_TOL) -> NumberDistribution:
@@ -71,8 +57,7 @@ def thermal_distribution(nbar: float, tol: float = DEFAULT_TOL) -> NumberDistrib
     The geometric tail past the cutoff M is q^(M+1) with q = nbar/(1 + nbar),
     recorded exactly.
     """
-    if not math.isfinite(nbar) or nbar < 0.0:
-        raise DomainError(f"nbar must be finite and nonnegative, got {nbar}")
+    nbar = check_real(nbar, "nbar", 0.0)
     _check_tol(tol)
     if nbar == 0.0:
         return NumberDistribution(np.array([1.0]), 0.0)
@@ -95,4 +80,4 @@ def purify(d) -> SchmidtSpectrum:
     if not isinstance(d, NumberDistribution):
         probs = NumberDistribution(d, 1.0).probs  # a tail of 1 checks all but the mass floor
         d = NumberDistribution(probs, max(0.0, 1.0 - float(probs.sum())))
-    return SchmidtSpectrum(np.sqrt(d.probs), d.tail_bound, "custom")
+    return SchmidtSpectrum(np.sqrt(d.probs), d.tail_bound)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -12,10 +11,6 @@ from .errors import DegenerateInputError, DomainError
 from .states import SchmidtSpectrum
 
 SQRT3 = math.sqrt(3.0)
-
-# Applicability bound sqrt(18 + 9 sqrt(3))/2 ~ 2.898 on max |a_k|; any
-# normalized state satisfies it, but it is still checked and reported.
-COEFF_BOUND = math.sqrt(18.0 + 9.0 * SQRT3) / 2.0
 
 _NORM_TOL = 1e-12
 
@@ -36,13 +31,6 @@ class QutritState:
         norm_sq = float(np.dot(a, a))
         if abs(norm_sq - 1.0) > _NORM_TOL:
             raise DomainError(f"qutrit coefficients must be normalized, got |a|^2 = {norm_sq}")
-
-
-class BellMax(NamedTuple):
-    """Closed-form Bell maximum plus the applicability-condition report."""
-
-    value: float
-    applicable: bool
 
 
 def fidelity(s: SchmidtSpectrum, t: SchmidtSpectrum) -> float:
@@ -75,16 +63,12 @@ def bell_form(a0, a1, a2):
     return 4.0 * (a0 * a1) + (4.0 / SQRT3) * (a0 * a2 + a1 * a2)
 
 
-def bell_max_analytic(q: QutritState) -> BellMax:
+def bell_max_analytic(q: QutritState) -> float:
     """Maximal two-qutrit Bell value B(|a|) = 4|a0 a1| + (4/sqrt(3)) (|a0 a2| + |a1 a2|).
 
-    Also reports whether max |a_k| satisfies the formula's applicability
-    condition (it always does for normalized coefficients).
+    It holds for max |a_k| <= sqrt(18 + 9 sqrt(3))/2 ~ 2.898, so for every unit-norm ``QutritState``.
     """
-    a0, a1, a2 = (abs(float(x)) for x in q.a)
-    value = bell_form(a0, a1, a2)
-    applicable = max(a0, a1, a2) <= COEFF_BOUND
-    return BellMax(value, applicable)
+    return bell_form(*(abs(float(x)) for x in q.a))
 
 
 def entanglement_entropy(s: SchmidtSpectrum) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import ConfigError, DomainError, SolverError, TruncationError, check_integer
+from .errors import ConfigError, DomainError, SolverError, TruncationError, check_integer, check_real
 
 # Hard cap on the adaptive Fock cutoff; spectra needing more terms raise.
 MAX_CUTOFF = 200_000
@@ -32,8 +32,6 @@ DEFAULT_TOL = 1e-12
 
 # Slack of the floating-point mass checks in _check_mass, mass + tail == 1.
 _NORM_SLACK = 1e-9
-
-_LABELS = ("tmsv", "gmes", "mes", "custom")
 
 
 def _check_mass(values: np.ndarray, mass: float, tail: float) -> None:
@@ -54,18 +52,14 @@ class SchmidtSpectrum:
 
     ``coeffs`` are real and nonnegative; ``tail_bound`` bounds the squared-norm
     mass beyond the stored cutoff, so 1 - tail_bound <= sum c_n^2 <= 1.
-    ``label`` records which family produced the spectrum.
     """
 
     coeffs: np.ndarray
     tail_bound: float
-    label: str = "custom"
 
     def __post_init__(self):
         coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
         object.__setattr__(self, "coeffs", coeffs)
-        if self.label not in _LABELS:
-            raise DomainError(f"unknown spectrum label {self.label!r}")
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise DomainError("coeffs must be a nonempty 1-d vector")
         if np.any(coeffs < 0.0):
@@ -145,8 +139,7 @@ def _tail_window(lam: float) -> int:
 
 def poisson_tail(n: int, lam: float) -> float:
     """P(X > n) for X ~ Poisson(lam), stable in both tails; a real n counts as floor(n), +-inf included."""
-    if not math.isfinite(lam) or lam < 0.0:
-        raise DomainError(f"Poisson mean must be finite and nonnegative, got {lam}")
+    lam = check_real(lam, "Poisson mean", 0.0)
     if n != n:
         raise DomainError("n must be a number, got nan")
     if n < 0:
@@ -185,7 +178,8 @@ def _poisson_tail_array(lam: float, nmax: int, nmin: int = 0) -> np.ndarray:
 
 def _poisson_mean(b: float) -> float:
     # b^2, which rounds to 0 below b = 2^-537.5 ~ 1.6e-162 and overflows above ~1.3e154
-    if not (b > 0.0 and 0.0 < b * b < math.inf):
+    b = check_real(b, "boundary radius b", 0.0, strict=True)
+    if not 0.0 < b * b < math.inf:
         raise DomainError(f"boundary radius b needs 1.6e-162 < b < 1.3e154 (b^2 a positive float), got {b}")
     return b * b
 
@@ -282,29 +276,28 @@ def tmsv_spectrum(r: float, tol: float = DEFAULT_TOL, cap: int = MAX_CUTOFF) -> 
     The cutoff M is the smallest index whose exact geometric tail
     tanh(r)^(2(M+1)) is at most ``tol``; that tail is recorded exactly.
     """
-    if not math.isfinite(r) or r < 0.0:
-        raise DomainError(f"squeezing parameter r must be nonnegative, got {r}")
+    r = check_real(r, "squeezing parameter r", 0.0)
     _check_tol(tol)
     _check_cap(cap)
     if r == 0.0:
-        return SchmidtSpectrum(np.array([1.0]), 0.0, "tmsv")
+        return SchmidtSpectrum(np.array([1.0]), 0.0)
     log_t = _log_tanh(r)
     cut, tail = _geometric_cut(2.0 * log_t, tol, cap, f"r={r}")
     n = np.arange(cut + 1, dtype=float)
     coeffs = np.exp(n * log_t - _log_cosh(r))
-    return SchmidtSpectrum(coeffs, tail, "tmsv")
+    return SchmidtSpectrum(coeffs, tail)
 
 
 def gmes_spectrum(b: float, tol: float = DEFAULT_TOL, cap: int = MAX_CUTOFF) -> SchmidtSpectrum:
     """Schmidt spectrum of the Gaussian maximally entangled state, c_n = sqrt(f(n, b))."""
     values, tail = bounded_f_profile(b, tol, cap)
-    return SchmidtSpectrum(np.sqrt(values, out=values), tail, "gmes")
+    return SchmidtSpectrum(np.sqrt(values, out=values), tail)
 
 
 def mes_spectrum(N: int) -> SchmidtSpectrum:
     """Schmidt spectrum of the N-dimensional maximally entangled state."""
     N = check_integer(N, "N", 1)
-    return SchmidtSpectrum(np.full(N, 1.0 / math.sqrt(N)), 0.0, "mes")
+    return SchmidtSpectrum(np.full(N, 1.0 / math.sqrt(N)), 0.0)
 
 
 def mes_overlaps(family: str, value, dims, cap: int = MAX_CUTOFF) -> list:
@@ -335,10 +328,7 @@ def mes_overlaps(family: str, value, dims, cap: int = MAX_CUTOFF) -> list:
         # min(N, M) / sqrt(N M) as sqrt(min/max): N M may pass the float range
         overlaps = [[math.sqrt(min(dim, value) / max(dim, value)) for dim in dims]]
     elif family == "tmsv":
-        r = np.atleast_1d(np.asarray(value, dtype=float))
-        invalid = r[~(np.isfinite(r) & (r >= 0.0))]
-        if invalid.size:
-            raise DomainError(f"squeezing parameter r must be nonnegative, got {invalid[0]}")
+        r = np.array([check_real(x, "squeezing parameter r", 0.0) for x in np.atleast_1d(value).tolist()])
         log_t = _log_tanh(r)[:, None]
         # (1 - t^N) / (1 - t) through expm1 stays accurate as t -> 1; a t that
         # rounds to 1 leaves N equal terms, where np.where drops 0/0
@@ -346,7 +336,7 @@ def mes_overlaps(family: str, value, dims, cap: int = MAX_CUTOFF) -> list:
             sums = np.where(log_t < 0.0, np.expm1(n * log_t) / np.expm1(log_t), n)
         overlaps = sums * np.exp(-_log_cosh(r))[:, None] / np.sqrt(n)
     elif family == "gmes":
-        radii = np.atleast_1d(np.asarray(value, dtype=float)).tolist()
+        radii = np.atleast_1d(value).tolist()  # each b is checked as a float by _poisson_mean
         overlaps = np.empty((len(radii), n.size))
         for row, b in zip(overlaps, radii):
             lam = _poisson_mean(b)
@@ -371,8 +361,7 @@ def mean_photon(s: SchmidtSpectrum) -> float:
 
 def solve_r_for_nbar(nbar: float) -> float:
     """Squeezing parameter with per-mode mean photon number ``nbar``: arcsinh(sqrt(nbar))."""
-    if not math.isfinite(nbar) or nbar < 0.0:
-        raise DomainError(f"nbar must be finite and nonnegative, got {nbar}")
+    nbar = check_real(nbar, "nbar", 0.0)
     return math.asinh(math.sqrt(nbar))
 
 
@@ -384,8 +373,7 @@ def solve_b_for_nbar(nbar: float, tol: float = 1e-8) -> float:
     sum_n n f(n, b) = sum_n n P(X > n) / b^2 = E[X(X-1)/2] / b^2 = b^2/2), so
     sqrt(2 nbar) seeds the bracket.
     """
-    if not math.isfinite(nbar) or nbar <= 0.0:
-        raise DomainError(f"nbar must be positive, got {nbar}")
+    nbar = check_real(nbar, "nbar", 0.0, strict=True)
     if not (0.0 < tol < 1.0):
         raise ConfigError(f"solver tolerance must lie in (0, 1), got {tol}")
     # imported here: no subcommand solves for b, so scipy.optimize stays off the import path

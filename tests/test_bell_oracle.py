@@ -285,7 +285,7 @@ def test_canonical_settings_attain_the_closed_form():
     anchors += [random_state(rng) for _ in range(8)]
     for q in anchors:
         assert bell_value(q, settings) == pytest.approx(
-            bell_max_analytic(q).value, abs=1e-10
+            bell_max_analytic(q), abs=1e-10
         )
 
 
@@ -349,7 +349,7 @@ def test_maximize_matches_formula_on_random_states():
     rng = np.random.default_rng(53)
     for _ in range(6):
         q = random_state(rng)
-        want = bell_max_analytic(q).value
+        want = bell_max_analytic(q)
         result = maximize_bell(q, restarts=3, seed=1)
         assert abs(result.value - want) <= 1e-12 * want
         assert result.value <= want + 1e-9
@@ -447,7 +447,7 @@ def test_maximize_sweeps_on_the_criterion_2_states(monkeypatch):
         result = maximize_bell(q, restarts=32, seed=0)
         assert result.converged
         assert 1 <= len(calls) - 1 <= 10
-        assert abs(result.value - bell_max_analytic(q).value) <= 1e-12 * result.value
+        assert abs(result.value - bell_max_analytic(q)) <= 1e-12 * result.value
 
 
 def test_reference_settings_reproduce_the_value_on_the_criterion_2_states():
@@ -508,7 +508,7 @@ COEFFS = st.one_of(st.just(0.0), st.floats(1e-150, 1.0))
 @example((1.0, 1e-10, 1e-10), 0)  # a value near 6e-10 from two links of equal weight
 def test_maximize_never_exceeds_the_closed_form(a, seed):
     q = QutritState(np.divide(a, math.hypot(*a)))
-    want = bell_max_analytic(q).value
+    want = bell_max_analytic(q)
     value = maximize_bell(q, seed=seed).value
     assert value <= want * (1.0 + 1e-12)
     assert value >= want * (1.0 - 1e-12)

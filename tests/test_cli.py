@@ -318,7 +318,7 @@ def test_fig1_grid_expression_matches_the_per_point_closed_form(exponents):
     t = np.sqrt(nbars / (1.0 + nbars))
     tmsv = np.stack((np.ones_like(t), t, t * t), axis=1)
     for rows in (gmes, tmsv):
-        want = [bell_max_analytic(QutritState(gmeslab.cli._unit(a.tolist()))).value for a in rows]
+        want = [bell_max_analytic(QutritState(gmeslab.cli._unit(a.tolist()))) for a in rows]
         np.testing.assert_allclose(gmeslab.cli._bell_of_rows(rows), want, rtol=1e-15, atol=0.0)
 
 
@@ -653,13 +653,15 @@ def test_kerr_errors(capsys):
     assert run(capsys, "kerr", "--alpha", "4", "--d", "2", "--cutoff", "20")[0] == 2
     assert run(capsys, "kerr", "--alpha", "4", "--d", "2", "--tol", "1e-3")[0] == 2  # kerr reads no tol
     # a non-finite alpha, a cutoff past the cap and a modulus past the cutoff
-    # are typed errors, raised before any array of that size exists
+    # are typed errors, raised before any array of that size exists; so are
+    # amplitudes past the float range (|alpha| > 37.7), with no numpy warning
     for argv in (
         ("--alpha", "nan", "--d", "2"),
         ("--alpha", "inf", "--d", "2"),
         ("--alpha", "1e200", "--d", "2"),
         ("--alpha", "1", "--d", "2", "--cutoff", "1000000000000000"),
         ("--alpha", "4", "--d", "1000000000000"),
+        ("--alpha", "38", "--d", "2", "--cutoff", "5000"),
     ):
         code, out, err = run(capsys, "kerr", *argv)
         assert code == 2, argv
@@ -712,11 +714,16 @@ def test_kerr_alpha_10_at_the_default_cutoff(capsys, d):
     np.testing.assert_allclose(values[4 + d :], gram[1:], rtol=0, atol=1e-15)
 
 
-def test_kerr_alpha_11_still_past_the_default_cutoff(capsys):
-    # default cutoff 229 < 2 |alpha|^2 = 242
-    code, out, err = run(capsys, "kerr", "--alpha", "11", "--d", "2")
-    assert code == 2
-    assert out == "" and "too small" in err
+@pytest.mark.parametrize("alpha, cutoff", [(11, 242), (12, 288), (15, 450), (37, 2738)])
+def test_kerr_past_alpha_10_at_the_default_cutoff(capsys, alpha, cutoff):
+    # past |alpha| = 10 the default cutoff is the 2|alpha|^2 the coherent vector needs
+    # (|alpha|^2 + 8|alpha| + 20 = 229 at alpha = 11 fell short of it)
+    code, out, err = run(capsys, "kerr", "--alpha", str(alpha), "--d", "2")
+    assert code == 0 and err == ""
+    _, rows = rows_of(out)
+    values = [float(x) for x in rows[0]]
+    assert values[2] == cutoff
+    np.testing.assert_allclose(values[4:6], poisson_weights(alpha, 2, cutoff)[0], rtol=1e-11)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -134,6 +135,29 @@ def test_coherent_non_finite_alpha(alpha):
 def test_default_cutoff():
     assert default_cutoff(3.0) == math.ceil(9.0 + 24.0 + 20.0)
     assert default_cutoff(0.0) == 20
+
+
+@given(st.floats(0.0, 443.0, exclude_min=True))
+@example(10.0)
+@example(10.000000000000002)
+@example(11.0)
+@example(math.sqrt(60.5))
+def test_default_cutoff_passes_the_coherent_guard(alpha):
+    # |alpha|^2 + 8|alpha| + 20 up to |alpha| = 10, and 2|alpha|^2 past it
+    cutoff = default_cutoff(alpha)
+    assert cutoff >= 2.0 * abs(alpha) ** 2
+    if alpha <= 10.0:
+        assert cutoff == math.ceil(alpha * alpha + 8.0 * alpha + 20.0)
+
+
+def test_coherent_amplitudes_past_the_float_range():
+    # alpha^n / sqrt(n!) overflows near n = |alpha|^2 from |alpha| ~ 37.74 on
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DomainError, match=r"overflows .* \|alpha\|\^2 = 1444"):
+            coherent_fock(38.0, 5000)
+    assert caught == []
+    assert np.all(np.isfinite(coherent_fock(37.7, 5000).amps))
 
 
 # ---------------------------------------------------------------------------

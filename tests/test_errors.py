@@ -1,4 +1,4 @@
-"""Integer arguments: nan and +-inf raise DomainError at every site, never a bare error."""
+"""Integer and real arguments: nan, +-inf and ints past the float range raise DomainError, never a bare error."""
 
 import math
 
@@ -10,16 +10,24 @@ from gmeslab import (
     QutritState,
     coherent_fock,
     cross_kerr_apply,
+    default_cutoff,
     f_coefficient,
+    gmes_spectrum,
+    gmms_distribution,
     kerr_mes_fidelity,
     maximize_bell,
+    mes_overlaps,
     mes_spectrum,
     poisson_tail,
     pseudo_number_component,
     pseudo_phase_gram,
+    solve_b_for_nbar,
+    solve_r_for_nbar,
+    thermal_distribution,
+    tmsv_spectrum,
     two_mode_product,
 )
-from gmeslab.errors import check_integer
+from gmeslab.errors import check_integer, check_real
 
 UNIFORM = QutritState(np.full(3, 1.0 / math.sqrt(3.0)))
 
@@ -67,3 +75,41 @@ def test_check_integer():
     for value, low, high in [(2.5, 0, None), (-1, 0, None), (8, 1, 7), (0, 1, 7)]:
         with pytest.raises(DomainError, match=r"x must be an integer (>= \d|in \[)"):
             check_integer(value, "x", low, high)
+
+
+# Each takes a real parameter; float() of an int past the float range raises OverflowError.
+REAL_SITES = {
+    "tmsv_spectrum r": tmsv_spectrum,
+    "gmes_spectrum b": gmes_spectrum,
+    "gmms_distribution b": gmms_distribution,
+    "mes_overlaps tmsv r": lambda x: mes_overlaps("tmsv", x, [1]),
+    "mes_overlaps tmsv r grid": lambda x: mes_overlaps("tmsv", [1.0, x], [1]),
+    "mes_overlaps gmes b": lambda x: mes_overlaps("gmes", x, [1]),
+    "mes_overlaps gmes b grid": lambda x: mes_overlaps("gmes", [1.0, x], [1]),
+    "poisson_tail lam": lambda x: poisson_tail(3, x),
+    "f_coefficient b": lambda x: f_coefficient(0, x),
+    "solve_r_for_nbar nbar": solve_r_for_nbar,
+    "solve_b_for_nbar nbar": solve_b_for_nbar,
+    "thermal_distribution nbar": thermal_distribution,
+    "coherent_fock alpha": coherent_fock,
+    "default_cutoff alpha": default_cutoff,
+    "kerr_mes_fidelity alpha": lambda x: kerr_mes_fidelity(x, 2),
+}
+
+
+@pytest.mark.parametrize("site", sorted(REAL_SITES))
+def test_int_past_the_float_range_raises_domain_error(site):
+    with pytest.raises(DomainError):
+        REAL_SITES[site](10**400)
+
+
+def test_check_real():
+    assert check_real(3, "x", 0.0) == 3.0 and type(check_real(3, "x", 0.0)) is float
+    assert check_real(np.float64(0.1), "x", 0.0) == 0.1
+    assert check_real(0.0, "x", 0.0) == 0.0
+    assert check_real(5e-324, "x", 0.0, strict=True) == 5e-324
+    for value, strict in [(0.0, True), (-5e-324, False), (math.nan, False), (math.inf, False), (-math.inf, False),
+                          (10**400, False), (-(10**400), False), (10**5000, False),  # past str()'s 4300 digits
+                          (1j, False), ("one", False), (None, False)]:
+        with pytest.raises(DomainError, match="x must be a finite number >=? 0, got"):
+            check_real(value, "x", 0.0, strict=strict)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from gmeslab import (
-    COEFF_BOUND,
     DegenerateInputError,
     QutritState,
     SchmidtSpectrum,
@@ -138,20 +137,17 @@ def test_qutrit_state_validation():
 
 def test_bell_max_uniform():
     got = bell_max_analytic(UNIFORM)
-    assert got.value == pytest.approx(2.872934051172335, abs=1e-12)
-    assert got.value == pytest.approx(4.0 / 3.0 + 8.0 / (3.0 * math.sqrt(3.0)), abs=1e-14)
-    assert got.applicable
+    assert got == pytest.approx(2.872934051172335, abs=1e-12)
+    assert got == pytest.approx(4.0 / 3.0 + 8.0 / (3.0 * math.sqrt(3.0)), abs=1e-14)
 
 
 def test_bell_max_product_state():
-    got = bell_max_analytic(QutritState(np.array([1.0, 0.0, 0.0])))
-    assert got.value == 0.0
-    assert got.applicable
+    assert bell_max_analytic(QutritState(np.array([1.0, 0.0, 0.0]))) == 0.0
 
 
 def test_bell_max_two_level():
     s = 1.0 / math.sqrt(2.0)
-    assert bell_max_analytic(QutritState(np.array([s, s, 0.0]))).value == pytest.approx(
+    assert bell_max_analytic(QutritState(np.array([s, s, 0.0]))) == pytest.approx(
         2.0, abs=1e-14
     )
 
@@ -163,19 +159,9 @@ def test_bell_max_swap_symmetry():
         a /= np.linalg.norm(a)
         swapped = a[[1, 0, 2]]
         assert (
-            bell_max_analytic(QutritState(a)).value
-            == bell_max_analytic(QutritState(swapped)).value
+            bell_max_analytic(QutritState(a))
+            == bell_max_analytic(QutritState(swapped))
         )
-
-
-def test_applicability_bound():
-    assert COEFF_BOUND == pytest.approx(math.sqrt(18.0 + 9.0 * math.sqrt(3.0)) / 2.0)
-    assert COEFF_BOUND > 1.0  # normalized coefficients always satisfy it
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        a = rng.uniform(0.0, 1.0, 3)
-        a /= np.linalg.norm(a)
-        assert bell_max_analytic(QutritState(a)).applicable
 
 
 # ---------------------------------------------------------------------------
