@@ -78,11 +78,20 @@ class TwoModeFock:
         _check_mass(amps, float(np.vdot(amps, amps).real), self.loss)
 
 
-def default_cutoff(alpha: complex) -> int:
-    """Fock cutoff |alpha|^2 + 8|alpha| + 20 (~1e-10 loss), at least the 2|alpha|^2 coherent_fock needs."""
-    a = check_real(abs(alpha), "|alpha|", 0.0)
+def _modulus(alpha: complex) -> float:
+    """|alpha| as a float, or ``DomainError`` unless alpha is finite with 2|alpha|^2 below the float range."""
+    try:
+        a = check_real(abs(alpha), "|alpha|", 0.0)
+    except OverflowError:  # abs() of a Python complex whose modulus passes the float range
+        a = math.inf
     if not math.isfinite(2.0 * a * a):
         raise DomainError(f"alpha must be finite with 2|alpha|^2 below the float range, got {alpha}")
+    return a
+
+
+def default_cutoff(alpha: complex) -> int:
+    """Fock cutoff |alpha|^2 + 8|alpha| + 20 (~1e-10 loss), at least the 2|alpha|^2 coherent_fock needs."""
+    a = _modulus(alpha)
     # 2 a**2 as coherent_fock's guard computes |alpha|^2: a * a can be one ulp below a**2
     return math.ceil(max(a * a + 8.0 * a + 20.0, 2.0 * a**2))
 
@@ -93,7 +102,7 @@ def coherent_fock(alpha: complex, cutoff: int | None = None) -> FockVector:
     Amplitudes come from the recurrence a_{n+1} = a_n alpha/sqrt(n+1), finite up to
     |alpha| ~ 37.7; the exact Poisson tail past the cutoff is recorded as the loss.
     """
-    check_real(abs(alpha), "|alpha|", 0.0)  # first: complex() raises OverflowError past the float range
+    _modulus(alpha)  # first: complex() raises OverflowError past the float range
     alpha = complex(alpha)
     if cutoff is None:
         cutoff = default_cutoff(alpha)

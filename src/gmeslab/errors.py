@@ -43,7 +43,11 @@ def check_integer(value, name: str, low: int, high: int | None = None) -> int:
         whole = False
     if not (whole and low <= value and (high is None or value <= high)):
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise DomainError(f"{name} must be an integer {bounds}, got {value}")
+        try:
+            shown = str(value)
+        except ValueError as exc:  # str() of an int past 4300 digits raises
+            shown = f"a value str() refuses ({exc})"
+        raise DomainError(f"{name} must be an integer {bounds}, got {shown}")
     return int(value)
 
 

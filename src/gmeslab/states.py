@@ -18,9 +18,9 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConfigError, DomainError, SolverError, TruncationError, check_integer, check_real
 
@@ -98,10 +98,19 @@ def _check_cap(cap: int) -> None:
 
 _SQRT_1500 = math.sqrt(1500.0)
 
-# log k! = gammaln(k + 1) for k = 0..4095, read-only: 32 KB that cover the whole
-# pmf support of every lam <= 1600.  A larger k goes through gammaln itself.
-_LOG_FACTORIAL = gammaln(np.arange(1.0, 4097.0))
+# log k! for k = 0..4095, read-only: 32 KB that cover the whole pmf support of
+# every lam <= 1600.  The file holds scipy.special.gammaln(arange(1, 4097)) bit
+# for bit (math.lgamma is 1 ulp off in about half the entries), so no default
+# call imports scipy.  A larger k goes through gammaln itself.
+_LOG_FACTORIAL = np.load(Path(__file__).with_name("_log_factorial.npy"), allow_pickle=False)
 _LOG_FACTORIAL.setflags(write=False)
+
+
+def gammaln(x):
+    """scipy.special.gammaln, imported on first use: only a pmf range past the log k! table calls it."""
+    import scipy.special
+
+    return scipy.special.gammaln(x)
 
 
 def _pmf_support(lam: float) -> tuple[int, int]:

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import csv
 import io
+import json
 import math
 import os
 import subprocess
@@ -25,6 +26,7 @@ import gmeslab.crosskerr
 import gmeslab.states
 from gmeslab import ConfigError, DomainError, QutritState, bell_max_analytic, fidelity, gmes_spectrum, mes_spectrum, tmsv_spectrum
 from gmeslab.cli import SweepConfig, main
+from test_golden import CASES as GOLDEN_CASES
 
 
 def run(capsys, *args):
@@ -147,18 +149,27 @@ def test_cap_outside_the_hard_cap(capsys, args):
     assert err.startswith("error: cutoff cap must lie in [0, 200000]") and err.count("\n") == 1
 
 
-def test_import_skips_scipy_linalg_and_optimize():
-    # only solve_b_for_nbar needs scipy.optimize (which loads scipy.linalg),
-    # and no subcommand calls it
+def test_import_and_default_subcommands_load_no_scipy():
+    # log k! comes from the committed table at every default, so scipy loads
+    # only for a pmf range past k = 4095 or in solve_b_for_nbar
     script = (
-        "import sys, gmeslab, gmeslab.cli; "
-        "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))"
+        "import json, os, sys, gmeslab, gmeslab.cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "loaded = {'import': scipy_modules()}\n"
+        "for args in json.loads(sys.argv[1]):\n"
+        "    assert gmeslab.cli.main([*args, '--out', os.devnull]) == 0, args\n"
+        "    loaded[' '.join(args)] = scipy_modules()\n"
+        "print(json.dumps(loaded))\n"
     )
     src = str(Path(gmeslab.cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True,
-                          timeout=120)
-    assert done.stdout == "[]\n"
+    commands = list(GOLDEN_CASES.values())
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    loaded = json.loads(done.stdout)
+    assert len(loaded) == 1 + len(commands) == 10
+    assert loaded == dict.fromkeys(loaded, [])
 
 
 def test_no_command(capsys):

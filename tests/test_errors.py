@@ -75,6 +75,9 @@ def test_check_integer():
     for value, low, high in [(2.5, 0, None), (-1, 0, None), (8, 1, 7), (0, 1, 7)]:
         with pytest.raises(DomainError, match=r"x must be an integer (>= \d|in \[)"):
             check_integer(value, "x", low, high)
+    # str() of an int past 4300 digits raises ValueError, so the message names the failure instead
+    with pytest.raises(DomainError, match=r"N must be an integer >= 1, got a value str\(\) refuses"):
+        mes_spectrum(-(10**5000))
 
 
 # Each takes a real parameter; float() of an int past the float range raises OverflowError.

@@ -1,8 +1,12 @@
 """Spectrum constructors, the Poisson-tail kernel and the mean-photon solvers."""
 
+import hashlib
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -230,6 +234,39 @@ def test_pmf_terms_read_the_log_factorial_table(lam, start, offset):
         stop = max(start, stop)
         k = np.arange(start, stop, dtype=float)
         assert np.array_equal(bits(states._pmf_terms(start, stop, lam)), bits(reference_pmf(k, lam)))
+
+
+def test_log_factorial_table_is_gammaln_bit_for_bit():
+    # the committed table stands in for scipy at import, so it must hold gammaln's own bits
+    table = states._LOG_FACTORIAL
+    assert table.dtype == np.float64 and table.shape == (4096,)
+    assert not table.flags.writeable
+    assert np.array_equal(table.view(np.int64), gammaln(np.arange(1.0, 4097.0)).view(np.int64))
+
+
+def test_gammaln_past_the_table_loads_scipy_on_first_use(monkeypatch):
+    # gmes_spectrum(60) reaches k ~ 6800, past the table: scipy.special loads
+    # then, not at import, and the spectrum is the one scipy's gammaln gives
+    script = (
+        "import hashlib, sys\n"
+        "from gmeslab import gmes_spectrum\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "coeffs = gmes_spectrum(60.0).coeffs\n"
+        "print('scipy.special' in sys.modules, hashlib.sha256(coeffs.tobytes()).hexdigest())\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(states.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True,
+                          timeout=120)
+    calls = []
+
+    def direct(x):
+        calls.append(np.size(x))
+        return gammaln(x)
+
+    monkeypatch.setattr(states, "gammaln", direct)
+    want = hashlib.sha256(gmes_spectrum(60.0).coeffs.tobytes()).hexdigest()
+    assert calls
+    assert done.stdout == f"[]\nTrue {want}\n"
 
 
 def test_pmf_support_at_the_top_of_the_float_range():
