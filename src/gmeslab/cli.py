@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,33 +44,26 @@ _FIG2_DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Validated sweep description shared by the figure commands."""
-
-    start: float
-    stop: float
-    steps: int
-    spacing: str
-
-    def __post_init__(self):
-        if self.spacing not in ("linear", "log"):
-            raise ConfigError(f"spacing must be linear or log, got {self.spacing!r}")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop) and self.start < self.stop):
-            raise ConfigError(f"sweep needs finite start < stop, got [{self.start}, {self.stop}]")
-        if not (2 <= self.steps <= _MAX_STEPS):
-            raise ConfigError(f"sweep needs 2 to {_MAX_STEPS} steps, got {self.steps}")
-
-    def grid(self) -> np.ndarray:
-        if self.spacing == "log":
-            if self.start <= 0.0:
-                raise ConfigError("log spacing needs start > 0")
-            return np.logspace(math.log10(self.start), math.log10(self.stop), self.steps)
-        return np.linspace(self.start, self.stop, self.steps)
-
-    def integer_grid(self) -> list:
-        # Python ints, exact for every float: an int64 cast wraps past 2^63
-        return [int(value) for value in np.unique(np.rint(self.grid())) if value >= 1]
+def _sweep(start: float, stop: float, steps: int, spacing: str) -> np.ndarray:
+    """``steps`` finite points from ``start`` to ``stop``, evenly spaced in x or in log x."""
+    if not (math.isfinite(start) and math.isfinite(stop) and start < stop):
+        raise ConfigError(f"sweep needs finite start < stop, got [{start}, {stop}]")
+    if not (2 <= steps <= _MAX_STEPS):
+        raise ConfigError(f"sweep needs 2 to {_MAX_STEPS} steps, got {steps}")
+    if spacing == "log" and start <= 0.0:
+        raise ConfigError("log spacing needs start > 0")
+    # the grid is judged, not numpy's warnings: a width stop - start past the
+    # float range leaves nan and inf in a linear grid, and a last log point
+    # that rounds past it leaves inf
+    with np.errstate(all="ignore"):
+        if spacing == "log":
+            grid = np.logspace(math.log10(start), math.log10(stop), steps)
+        else:
+            grid = np.linspace(start, stop, steps)
+    if not np.isfinite(grid).all():
+        raise ConfigError(f"sweep needs finite start < stop and a finite {spacing} grid between them, "
+                          f"got [{start}, {stop}]")
+    return grid
 
 
 def _fmt(value) -> str:
@@ -170,8 +162,7 @@ def _bell_of_rows(a: np.ndarray) -> np.ndarray:
 def cmd_fig1(args) -> int:
     # GMES: c_n = sqrt(P(X > n)/lam), X ~ Poisson(lam = b^2 = 2 nbar) since sum_n n f(n, b) = b^2/2;
     # TMSV: c_n = t^n / cosh r, t^2 = nbar/(1 + nbar).  Renormalizing cancels 1/lam and 1/cosh r.
-    cfg = SweepConfig(start=args.start, stop=args.stop, steps=args.steps, spacing=args.spacing)
-    nbars = cfg.grid()
+    nbars = _sweep(args.start, args.stop, args.steps, args.spacing)
     tails = np.empty((nbars.size, 3))
     # point by point, so that 2 nbar = inf is refused before numpy could warn on it
     for row, nbar in zip(tails, nbars.tolist()):
@@ -190,17 +181,13 @@ def cmd_fig1(args) -> int:
 def cmd_fig2(args) -> int:
     if args.variant is None:
         raise DomainError("fig2 requires --variant a, b, c or d")
-    defaults = _FIG2_DEFAULTS[args.variant]
-    start = defaults["start"] if args.start is None else args.start
-    stop = defaults["stop"] if args.stop is None else args.stop
-    steps = defaults["steps"] if args.steps is None else args.steps
-    spacing = defaults["spacing"] if args.spacing is None else args.spacing
+    sweep = {key: default if getattr(args, key) is None else getattr(args, key)
+             for key, default in _FIG2_DEFAULTS[args.variant].items()}
+    grid = _sweep(**sweep)
     family = "gmes" if args.variant in ("a", "c") else "tmsv"
-    cfg = SweepConfig(start=start, stop=stop, steps=steps, spacing=spacing)
 
     if args.variant in ("a", "b"):
         # the overlaps come first, so that a bad parameter fails with their error
-        grid = cfg.grid()
         overlaps = mes_overlaps(family, grid, args.dims, args.cap)
         x = grid
         if args.x == "nbar":
@@ -214,7 +201,8 @@ def cmd_fig2(args) -> int:
         _emit((xname, *[f"fid_N{dim}" for dim in args.dims]), rows, args.out)
         return 0
 
-    dims = cfg.integer_grid()
+    # Python ints, exact for every float: an int64 cast wraps past 2^63
+    dims = [int(value) for value in np.unique(np.rint(grid)) if value >= 1]
     value = args.b if args.variant == "c" else args.r
     _emit(("N", "fidelity"), list(zip(dims, mes_overlaps(family, value, dims, args.cap))), args.out)
     return 0

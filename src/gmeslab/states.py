@@ -268,15 +268,17 @@ def _log_tanh(r):
     # log(tanh r) = log(1 - e) - log1p(e) with e = exp(-2r).  log1p(-e) keeps
     # full relative accuracy for large r, where 1 - tanh(r) ~ 2e is tiny;
     # for small r, -expm1(-2r) gives 1 - e without cancellation.  r = 0 gives
-    # -inf; log1p(-1) for r below ~1e-16 is a branch np.where drops.
-    e = np.exp(-2.0 * r)
-    with np.errstate(divide="ignore"):
+    # -inf; log1p(-1) for r below ~1e-16 is a branch np.where drops.  -2r
+    # overflows to -inf past r ~ 9e307 in an array, and e is then 0.0 as it should be.
+    with np.errstate(divide="ignore", over="ignore"):
+        e = np.exp(-2.0 * r)
         return np.where(e < 0.5, np.log1p(-e), np.log(-np.expm1(-2.0 * r))) - np.log1p(e)
 
 
 def _log_cosh(r):
-    # Overflow-safe: cosh(r) itself overflows near r ~ 710.
-    return r + np.log1p(np.exp(-2.0 * r)) - math.log(2.0)
+    # Overflow-safe: cosh(r) itself overflows near r ~ 710, and -2r past r ~ 9e307.
+    with np.errstate(over="ignore"):
+        return r + np.log1p(np.exp(-2.0 * r)) - math.log(2.0)
 
 
 def tmsv_spectrum(r: float, tol: float = DEFAULT_TOL, cap: int = MAX_CUTOFF) -> SchmidtSpectrum:
@@ -306,6 +308,9 @@ def gmes_spectrum(b: float, tol: float = DEFAULT_TOL, cap: int = MAX_CUTOFF) -> 
 def mes_spectrum(N: int) -> SchmidtSpectrum:
     """Schmidt spectrum of the N-dimensional maximally entangled state."""
     N = check_integer(N, "N", 1)
+    if N > MAX_CUTOFF:
+        # refused before any array; N is not shown, as str() of an int past 4300 digits raises
+        raise TruncationError(f"mes dimension N exceeds the hard cap {MAX_CUTOFF}")
     return SchmidtSpectrum(np.full(N, 1.0 / math.sqrt(N)), 0.0)
 
 
@@ -374,17 +379,16 @@ def solve_r_for_nbar(nbar: float) -> float:
     return math.asinh(math.sqrt(nbar))
 
 
-def solve_b_for_nbar(nbar: float, tol: float = 1e-8) -> float:
+def solve_b_for_nbar(nbar: float) -> float:
     """Boundary radius whose spectrum has per-mode mean photon number ``nbar``.
 
     Uses bracketing plus bisection on the increasing map b -> mean_photon.
     The mean of the untruncated spectrum is exactly b^2/2 (with X ~ Poisson(b^2),
     sum_n n f(n, b) = sum_n n P(X > n) / b^2 = E[X(X-1)/2] / b^2 = b^2/2), so
-    sqrt(2 nbar) seeds the bracket.
+    sqrt(2 nbar) seeds the bracket.  A root whose mean misses ``nbar`` by more
+    than 1e-8 raises ``SolverError``.
     """
     nbar = check_real(nbar, "nbar", 0.0, strict=True)
-    if not (0.0 < tol < 1.0):
-        raise ConfigError(f"solver tolerance must lie in (0, 1), got {tol}")
     # imported here: no subcommand solves for b, so scipy.optimize stays off the import path
     from scipy.optimize import bisect
 
@@ -408,8 +412,6 @@ def solve_b_for_nbar(nbar: float, tol: float = 1e-8) -> float:
 
     b = float(bisect(mean_minus_target, lo, hi, xtol=1e-13 * max(1.0, center), maxiter=200))
     residual = mean_minus_target(b)
-    if abs(residual) > tol:
-        raise SolverError(
-            f"bisection on bracket [{lo}, {hi}] left residual {residual} > tol {tol}"
-        )
+    if abs(residual) > 1e-8:
+        raise SolverError(f"bisection on bracket [{lo}, {hi}] left residual {residual} > 1e-8")
     return b

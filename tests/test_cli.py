@@ -25,7 +25,7 @@ import gmeslab.cli
 import gmeslab.crosskerr
 import gmeslab.states
 from gmeslab import ConfigError, DomainError, QutritState, bell_max_analytic, fidelity, gmes_spectrum, mes_spectrum, tmsv_spectrum
-from gmeslab.cli import SweepConfig, main
+from gmeslab.cli import _sweep, main
 from test_golden import CASES as GOLDEN_CASES
 
 
@@ -340,7 +340,7 @@ def test_fig1_bad_range(capsys):
 
 @pytest.mark.parametrize("command", [("fig1",), ("fig2", "--variant", "c")])
 def test_sweep_bounds_must_be_finite(capsys, command):
-    # refused by SweepConfig, before numpy would warn on an inf grid
+    # refused by _sweep, before numpy would warn on an inf grid
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, *command, "--start", "1", "--stop", "inf")
@@ -348,12 +348,49 @@ def test_sweep_bounds_must_be_finite(capsys, command):
     assert out == ""
     assert err.startswith("error: sweep needs finite start < stop") and err.count("\n") == 1
     with pytest.raises(ConfigError):
-        SweepConfig(start=-math.inf, stop=1.0, steps=2, spacing="linear")
+        _sweep(-math.inf, 1.0, 2, "linear")
+
+
+@pytest.mark.parametrize("command", [("fig1",), ("fig2", "--variant", "a"), ("fig2", "--variant", "b"),
+                                     ("fig2", "--variant", "c"), ("fig2", "--variant", "d")])
+@pytest.mark.parametrize("bounds", [("--start=-1e308", "--stop", "1e308", "--spacing", "linear"),
+                                    ("--start", "1", "--stop", "1.7976931348623157e308", "--spacing", "log")])
+def test_sweep_grid_must_be_finite(capsys, command, bounds):
+    # a linear width past the float range, or a last point that rounds to inf:
+    # numpy warned, or int(inf) raised, before the grid itself was checked
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *command, *bounds, "--steps", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: sweep needs finite start < stop") and err.count("\n") == 1
+
+
+SWEEP_BOUNDS = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308])
+
+
+@settings(max_examples=500, deadline=None)
+@given(SWEEP_BOUNDS, SWEEP_BOUNDS, st.integers(2, 1000), st.sampled_from(["linear", "log"]))
+@example(-1e308, 1e308, 3, "linear")
+@example(1.0, 1.7976931348623157e308, 3, "log")
+@example(-1.797e308, -1.0, 7, "linear")
+@example(5e-324, 1.7976931348623157e308, 1000, "log")
+def test_sweep_is_finite_or_refused(start, stop, steps, spacing):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            grid = _sweep(start, stop, steps, spacing)
+        except ConfigError:
+            return
+    assert grid.shape == (steps,)
+    assert np.isfinite(grid).all()
+    assert (np.diff(grid) >= 0.0).all()
 
 
 @pytest.mark.parametrize("command", [("fig1",), ("fig2", "--variant", "a"), ("fig2", "--variant", "c")])
 def test_sweep_steps_bound(capsys, command):
-    # refused by SweepConfig before any grid is allocated
+    # refused by _sweep before any grid is allocated
     code, _, err = run(capsys, *command, "--steps", str(10**15))
     assert code == 2
     assert "steps" in err
@@ -520,9 +557,7 @@ def test_fig2_integer_grid_past_int64(capsys):
     code, out, _ = run(capsys, "fig2", "--variant", "c", "--stop", "1e19", "--steps", "3")
     assert code == 0
     assert [row[0] for row in rows_of(out)[1]] == ["1", "3162277660", "10000000000000000000"]
-    grid = SweepConfig(start=1.0, stop=1e19, steps=3, spacing="log").integer_grid()
-    assert grid == [1, 3162277660, 10**19]
-    assert all(type(dim) is int for dim in grid)
+    assert _sweep(1.0, 1e19, 3, "log").tolist() == [1.0, pytest.approx(3162277660.17), 1e19]
 
 
 def test_dimensions_past_the_float_range(capsys):

@@ -569,6 +569,22 @@ def test_mes_errors():
         mes_spectrum(-3)
 
 
+@pytest.mark.parametrize("N", [states.MAX_CUTOFF + 1, 10**10, 10**400, 10**5000],
+                         ids=["cap+1", "1e10", "1e400", "1e5000"])
+def test_mes_past_the_hard_cap(N):
+    # refused before any array: 10**10 would be 80 GB, sqrt(10**400) overflowed,
+    # and str(10**5000) raises ValueError
+    assert mes_spectrum(states.MAX_CUTOFF).coeffs.size == states.MAX_CUTOFF
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncationError, match="hard cap 200000"):
+            mes_spectrum(N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 # ---------------------------------------------------------------------------
 # Overlaps with MES_N
 # ---------------------------------------------------------------------------
@@ -651,6 +667,8 @@ def test_mes_overlaps_closed_forms():
     # tanh(400) rounds to 1: N equal terms
     [got] = mes_overlaps("tmsv", 400.0, [4])
     assert got == pytest.approx(2.0 * math.sqrt(4.0) * math.exp(-400.0), rel=1e-12)
+    # -2r overflows past r ~ 9e307, where every c_n is 0.0, without a numpy warning
+    assert mes_overlaps("tmsv", [1e308, 1.7976931348623157e308], [1, 5]) == [[0.0, 0.0], [0.0, 0.0]]
     # far past the support every overlap is sum_n c_n / sqrt(N)
     big = mes_overlaps("gmes", 15.0, [10**6, 4 * 10**6, 10**15])
     assert big[1] == pytest.approx(big[0] / 2.0, rel=1e-15)
