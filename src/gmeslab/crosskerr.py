@@ -16,9 +16,10 @@ Loewdin (polar) orthonormalization is |e_j> = (1/sqrt(d)) sum_k w^(jk) |k_d>,
 the discrete Fourier transform of the number basis.  So <e_j | alpha w^j> =
 (1/sqrt(d)) sum_k n_k for every j, and the output sum_j n_j |j_d> (x)
 |alpha w^j> overlaps the target by (1/d) (sum_k n_k)^2.  Their Gram matrix
-G_jk = sum_m n_m^2 w^((k-j)m) is the circulant with first row d ifft(n^2), so
-one coherent vector, not d rotated ones, gives the whole Kerr report; the
-two-mode helpers below stay for tests that rebuild the overlap directly.
+G_jk = sum_m n_m^2 w^((k-j)m) is the circulant whose first row is
+exp(|alpha|^2 (w^k - 1)) less the pmf terms past the cutoff, so one coherent
+vector, not d rotated ones, gives the whole Kerr report; the two-mode
+helpers below stay for tests that rebuild the overlap directly.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, TruncationError, check_integer, check_real
-from .states import MAX_CUTOFF, _check_mass, poisson_tail
+from .states import MAX_CUTOFF, _check_mass, _pmf_support, _pmf_terms, _tail_window, poisson_tail
 
 # Phase states whose Gram matrix has min/max eigenvalue ratio below this are
 # numerically dependent.
@@ -163,19 +164,31 @@ def cross_kerr_apply(s: TwoModeFock, d: int) -> TwoModeFock:
     return TwoModeFock(s.amps * phases[residues], s.cutoff, s.loss)
 
 
-def _pseudo_number_weights(v: FockVector, d: int) -> np.ndarray:
-    """Squared norms n_k^2 of the pseudo-number components of ``v``, k = 0..d-1."""
-    return np.bincount(np.arange(v.cutoff + 1) % d, weights=(v.amps * v.amps.conj()).real, minlength=d)
+def _gram_row(alpha: complex, d: int, cutoff: int) -> np.ndarray:
+    """First Gram row sum_{n <= cutoff} P(X = n) w^(kn), k < d, for X ~ Poisson(|alpha|^2), w = e^(2 pi i/d).
+
+    It is exp(|alpha|^2 (w^k - 1)), of modulus exp(-2|alpha|^2 sin^2(pi k/d)) and free of cancellation,
+    less the pmf terms past the cutoff folded mod d; d ifft(n^2) would leave its small entries at rounding noise.
+    """
+    lam = abs(complex(alpha)) ** 2
+    row = np.exp(lam * np.expm1(2j * np.pi * np.arange(d) / d))
+    # the pmf support ends below 4096 at every |alpha| coherent_fock accepts, and
+    # terms past the window from cutoff + 1 add under 1e-150 of those kept
+    hi = min(_pmf_support(lam)[1], cutoff + 1 + _tail_window(lam)) if lam > 0.0 else 0
+    if cutoff + 1 < hi:
+        past = np.bincount(np.arange(cutoff + 1, hi) % d, weights=_pmf_terms(cutoff + 1, hi, lam), minlength=d)
+        row -= d * np.fft.ifft(past)
+    return row
 
 
 def pseudo_phase_gram(alpha: complex, d: int, cutoff: int | None = None) -> np.ndarray:
     """Gram matrix G_jk = <alpha e^(2 pi i j/d) | alpha e^(2 pi i k/d)> in the truncated space.
 
-    It is the circulant with first row d ifft(n^2) (see the module docstring).
-    The exact magnitudes are exp(-|alpha|^2 (1 - cos(2 pi (k-j)/d))).
+    It is the circulant with first row exp(|alpha|^2 (w^k - 1)) less the pmf terms past the cutoff
+    (see the module docstring), so its magnitudes are exp(-|alpha|^2 (1 - cos(2 pi (k-j)/d))) up to that tail.
     """
     d = check_integer(d, "modulus d", 1)
-    first_row = d * np.fft.ifft(_pseudo_number_weights(coherent_fock(alpha, cutoff), d))
+    first_row = _gram_row(alpha, d, coherent_fock(alpha, cutoff).cutoff)
     return np.stack([np.roll(first_row, j) for j in range(d)])
 
 
@@ -185,7 +198,8 @@ def _kerr_row(alpha: complex, d: int, cutoff: int | None):
     base = coherent_fock(alpha, cutoff)
     if d > base.cutoff + 1:  # checked before the O(d) weights exist
         raise DegenerateInputError(f"component k={base.cutoff + 1} is empty: d = {d} > cutoff + 1")
-    weights = _pseudo_number_weights(base, d)
+    # n_k^2, the squared norms of the pseudo-number components
+    weights = np.bincount(np.arange(base.cutoff + 1) % d, weights=(base.amps * base.amps.conj()).real, minlength=d)
     if weights.min() < 1e-24:
         raise DegenerateInputError(
             f"pseudo-number component k={weights.argmin()} has negligible weight for alpha={complex(alpha)}"
@@ -194,7 +208,7 @@ def _kerr_row(alpha: complex, d: int, cutoff: int | None):
         raise DegenerateInputError(
             f"pseudo-phase states are numerically dependent (Gram eigenvalue {d * weights.min():.3e})"
         )
-    return min(1.0, float(np.sqrt(weights).sum()) ** 2 / d), weights, d * np.fft.ifft(weights)
+    return min(1.0, float(np.sqrt(weights).sum()) ** 2 / d), weights, _gram_row(alpha, d, base.cutoff)
 
 
 def kerr_mes_fidelity(alpha: complex, d: int, cutoff: int | None = None) -> float:

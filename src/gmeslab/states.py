@@ -382,36 +382,18 @@ def solve_r_for_nbar(nbar: float) -> float:
 def solve_b_for_nbar(nbar: float) -> float:
     """Boundary radius whose spectrum has per-mode mean photon number ``nbar``.
 
-    Uses bracketing plus bisection on the increasing map b -> mean_photon.
     The mean of the untruncated spectrum is exactly b^2/2 (with X ~ Poisson(b^2),
     sum_n n f(n, b) = sum_n n P(X > n) / b^2 = E[X(X-1)/2] / b^2 = b^2/2), so
-    sqrt(2 nbar) seeds the bracket.  A root whose mean misses ``nbar`` by more
-    than 1e-8 raises ``SolverError``.
+    b = sqrt(2 nbar), plus one Newton step on that map that adds back the mean
+    the tol cutoff drops.  As 0 <= mean <= nbar up to rounding, the result lies
+    in [sqrt(2 nbar), 1.5 sqrt(2 nbar)]; the upper end is reached below
+    nbar ~ 1e-12, where the spectrum holds c_0 alone and its mean is 0.  A
+    result whose mean misses ``nbar`` by more than 1e-8 raises ``SolverError``.
     """
     nbar = check_real(nbar, "nbar", 0.0, strict=True)
-    # imported here: no subcommand solves for b, so scipy.optimize stays off the import path
-    from scipy.optimize import bisect
-
-    def mean_minus_target(b: float) -> float:
-        return mean_photon(gmes_spectrum(b)) - nbar
-
-    center = math.sqrt(2.0 * nbar)
-    lo, hi = 0.5 * center, 2.0 * center
-    for _ in range(60):
-        if mean_minus_target(lo) < 0.0:
-            break
-        lo *= 0.5
-    else:
-        raise SolverError(f"could not bracket nbar={nbar} from below, tried b={lo}")
-    for _ in range(60):
-        if mean_minus_target(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise SolverError(f"could not bracket nbar={nbar} from above, tried b={hi}")
-
-    b = float(bisect(mean_minus_target, lo, hi, xtol=1e-13 * max(1.0, center), maxiter=200))
-    residual = mean_minus_target(b)
+    b = math.sqrt(2.0 * nbar)
+    b += (nbar - mean_photon(gmes_spectrum(b))) / b
+    residual = mean_photon(gmes_spectrum(b)) - nbar
     if abs(residual) > 1e-8:
-        raise SolverError(f"bisection on bracket [{lo}, {hi}] left residual {residual} > 1e-8")
+        raise SolverError(f"b={b} leaves the mean photon number {residual} from nbar={nbar}, past 1e-8")
     return b

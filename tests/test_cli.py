@@ -151,7 +151,7 @@ def test_cap_outside_the_hard_cap(capsys, args):
 
 def test_import_and_default_subcommands_load_no_scipy():
     # log k! comes from the committed table at every default, so scipy loads
-    # only for a pmf range past k = 4095 or in solve_b_for_nbar
+    # only for a pmf range past k = 4095
     script = (
         "import json, os, sys, gmeslab, gmeslab.cli\n"
         "def scipy_modules():\n"
@@ -598,6 +598,11 @@ def test_fig2_usage_errors(capsys):
     assert run(capsys, "fig2")[0] == 2
     assert run(capsys, "fig2", "--variant", "e")[0] == 2
     assert run(capsys, "fig2", "--variant", "a", "--steps", "1")[0] == 2
+    # --dims that are not integers, or not positive
+    for dims in ("5,x", "0"):
+        code, out, err = run(capsys, "fig2", "--variant", "a", "--dims", dims)
+        assert (code, out) == (2, "")
+        assert "error: argument --dims" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +628,11 @@ def test_bell_oracle_seeded_deterministic(capsys):
 
 
 def test_bell_oracle_zero_vector(capsys):
-    assert run(capsys, "bell-oracle", "--a", "0", "0", "0")[0] == 2
+    # the zero direction, and no direction at all
+    for argv in (("--a", "0", "0", "0"), ()):
+        code, out, err = run(capsys, "bell-oracle", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_bell_oracle_negative_seed(capsys):
@@ -702,6 +711,7 @@ def test_kerr_errors(capsys):
     # are typed errors, raised before any array of that size exists; so are
     # amplitudes past the float range (|alpha| > 37.7), with no numpy warning
     for argv in (
+        ("--d", "2"),
         ("--alpha", "nan", "--d", "2"),
         ("--alpha", "inf", "--d", "2"),
         ("--alpha", "1e200", "--d", "2"),
@@ -744,20 +754,21 @@ def poisson_weights(alpha, d, cutoff):
         return [float(w) for w in weights], [float(g) for g in row]
 
 
-@pytest.mark.parametrize("d", [5, 7])
-def test_kerr_alpha_10_at_the_default_cutoff(capsys, d):
+@pytest.mark.parametrize("alpha, d, cutoff", [pytest.param(10, 5, 200, id="5"), pytest.param(10, 7, 200, id="7"),
+                                                pytest.param(4, 2, 68, id="golden")])
+def test_kerr_alpha_10_at_the_default_cutoff(capsys, alpha, d, cutoff):
     # no rotated alpha is formed, so |alpha w^j|^2 cannot round past the
-    # 2|alpha|^2 guard of the default cutoff 200
-    code, out, _ = run(capsys, "kerr", "--alpha", "10", "--d", str(d))
+    # 2|alpha|^2 guard of the default cutoff 200; alpha = 4 is the golden case
+    code, out, _ = run(capsys, "kerr", "--alpha", str(alpha), "--d", str(d))
     assert code == 0
     _, rows = rows_of(out)
     values = [float(x) for x in rows[0]]
-    assert values[2] == 200
-    weights, gram = poisson_weights(10, d, 200)
+    assert values[2] == cutoff
+    weights, gram = poisson_weights(alpha, d, cutoff)
     np.testing.assert_allclose(values[4 : 4 + d], weights, rtol=1e-11)
-    # absolute: some moduli, about exp(-100 (1 - cos(2 pi k/d))), lie far
-    # below the rounding of the row (exp(-69) at d = 5, k = 2)
-    np.testing.assert_allclose(values[4 + d :], gram[1:], rtol=0, atol=1e-15)
+    # relative, though the moduli reach down to 1.6e-19 (d = 7): the row is
+    # exp(|alpha|^2 (w^k - 1)) minus the pmf terms past the cutoff, with no cancellation
+    np.testing.assert_allclose(values[4 + d :], gram[1:], rtol=1e-11)
 
 
 @pytest.mark.parametrize("alpha, cutoff", [(11, 242), (12, 288), (15, 450), (37, 2738)])
@@ -862,6 +873,12 @@ def test_config_list_and_choice_values(capsys, tmp_path):
     header, rows = rows_of(out)
     assert header == ["nbar", "fid_N5", "fid_N20"]
     assert len(rows) == 3
+    # a value list for an option that takes several, commas allowed
+    cfg = tmp_path / "oracle.cfg"
+    cfg.write_text("a = 1, 0.8, 0.5\n")
+    explicit = run(capsys, "bell-oracle", "--a", "1", "0.8", "0.5")
+    assert explicit[0] == 0
+    assert run(capsys, "bell-oracle", "--config", str(cfg)) == explicit
 
 
 @pytest.mark.parametrize(

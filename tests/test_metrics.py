@@ -128,6 +128,9 @@ def test_qutrit_state_validation():
         QutritState(np.array([1.0, 1.0, 1.0]))  # not normalized
     with pytest.raises(DomainError):
         QutritState(np.array([-1.0, 0.0, 0.0]))
+    for a in (np.array([1.0, 0.0]), np.eye(3)[:1]):  # not a 3-vector
+        with pytest.raises(DomainError):
+            QutritState(a)
 
 
 # ---------------------------------------------------------------------------

@@ -789,9 +789,33 @@ def test_solve_b_tiny_nbar():
     assert gmes_spectrum(b).coeffs[0] > 0.999999
 
 
-@given(st.floats(1e-4, 50.0))
+@given(st.floats(1e-4, 1000.0))
 def test_solve_b_mean_photon_property(nbar):
     assert abs(mean_photon(gmes_spectrum(solve_b_for_nbar(nbar))) - nbar) <= 1e-8
+
+
+@pytest.mark.parametrize("nbar", [5e-324, 1e-300, 1e-40, 1e-13, 1e-12, 1e-6, 2.0, 1000.0])
+def test_solve_b_stays_within_its_newton_step(nbar):
+    # the truncated mean lies in [0, nbar], so one Newton step from sqrt(2 nbar)
+    # lands within 1.5 sqrt(2 nbar); below nbar ~ 1e-12 the spectrum is c_0 alone,
+    # its mean 0, and the step lands at 1.5 sqrt(2 nbar) with residual -nbar
+    b = solve_b_for_nbar(nbar)
+    seed = math.sqrt(2.0 * nbar)
+    assert seed * (1.0 - 1e-12) <= b <= 1.5 * seed * (1.0 + 1e-12)
+    assert abs(mean_photon(gmes_spectrum(b)) - nbar) <= 1e-8
+
+
+def test_solve_b_loads_no_scipy():
+    script = (
+        "import sys\n"
+        "from gmeslab import solve_b_for_nbar\n"
+        "solve_b_for_nbar(2.0)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(states.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True,
+                          timeout=120)
+    assert done.stdout == "[]\n"
 
 
 def test_solve_b_errors():
@@ -839,3 +863,9 @@ def test_spectrum_rejects_bad_inputs():
         SchmidtSpectrum(np.array([0.5]), 0.0)  # missing mass, no tail declared
     with pytest.raises(DomainError):
         SchmidtSpectrum(np.array([1.0]), -0.1)
+    # shapes: an empty or 2-d spectrum, a Fock vector or a two-mode array off its cutoff
+    for build in (lambda: SchmidtSpectrum(np.array([]), 1.0), lambda: SchmidtSpectrum(np.eye(2), 0.0),
+                  lambda: FockVector(np.array([1.0]), 1), lambda: FockVector(np.eye(2), 1),
+                  lambda: TwoModeFock(np.array([1.0]), 0), lambda: TwoModeFock(np.eye(2), 0)):
+        with pytest.raises(DomainError):
+            build()
