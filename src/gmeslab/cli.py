@@ -252,16 +252,6 @@ def cmd_kerr(args) -> int:
     return 0
 
 
-_DISPATCH = {
-    "spectrum": cmd_spectrum,
-    "fidelity": cmd_fidelity,
-    "fig1": cmd_fig1,
-    "fig2": cmd_fig2,
-    "bell-oracle": cmd_bell_oracle,
-    "kerr": cmd_kerr,
-}
-
-
 def _int_list(text: str):
     try:
         values = tuple(int(part) for part in text.replace(",", " ").split())
@@ -272,42 +262,39 @@ def _int_list(text: str):
     return values
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="gmeslab",
-        description="Schmidt spectra, Bell values and fidelities for Gaussian-mode entangled states.",
-    )
-    sub = parser.add_subparsers(dest="command", metavar="command")
-    subparsers = {}
+def _shared_arguments(p: argparse.ArgumentParser, *shared: str) -> None:
+    # each command registers only the shared options it reads
+    if "tol" in shared:
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="spectrum truncation tolerance")
+    if "cap" in shared:
+        p.add_argument("--cap", type=int, default=MAX_CUTOFF, help="hard cutoff cap for adaptive spectra")
+    p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
+    p.add_argument("--config", default=None, help="flat key=value file mirroring flags; flags win")
 
-    def add_command(name: str, help_text: str, *shared: str) -> argparse.ArgumentParser:
-        # each command registers only the shared options it reads
-        p = sub.add_parser(name, help=help_text)
-        if "tol" in shared:
-            p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="spectrum truncation tolerance")
-        if "cap" in shared:
-            p.add_argument("--cap", type=int, default=MAX_CUTOFF, help="hard cutoff cap for adaptive spectra")
-        p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
-        p.add_argument("--config", default=None, help="flat key=value file mirroring flags; flags win")
-        subparsers[name] = p
-        return p
 
-    p = add_command("spectrum", "emit one Schmidt spectrum as CSV rows n,coeff", "tol", "cap")
+def _spectrum_arguments(p: argparse.ArgumentParser) -> None:
+    _shared_arguments(p, "tol", "cap")
     p.add_argument("--family", choices=tuple(_FAMILY_KEYS), default=None)
     p.add_argument("--r", type=float, default=None, help="squeezing parameter (tmsv)")
     p.add_argument("--b", type=float, default=None, help="radial cutoff parameter (gmes)")
     p.add_argument("--N", type=int, default=None, help="dimension (mes)")
 
-    p = add_command("fidelity", "fidelity between two states given as family:key=value specs", "tol", "cap")
+
+def _fidelity_arguments(p: argparse.ArgumentParser) -> None:
+    _shared_arguments(p, "tol", "cap")
     p.add_argument("states", nargs=2, metavar="STATE", help="e.g. tmsv:r=1.0 gmes:b=15 mes:N=200")
 
-    p = add_command("fig1", "Bell ceiling of the qutrit truncation vs mean photon number")
+
+def _fig1_arguments(p: argparse.ArgumentParser) -> None:
+    _shared_arguments(p)
     p.add_argument("--start", type=float, default=0.01, help="first per-mode nbar")
     p.add_argument("--stop", type=float, default=50.0, help="last per-mode nbar")
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--spacing", choices=("linear", "log"), default="log")
 
-    p = add_command("fig2", "fidelity sweeps against N-dimensional maximally entangled targets", "cap")
+
+def _fig2_arguments(p: argparse.ArgumentParser) -> None:
+    _shared_arguments(p, "cap")
     p.add_argument("--variant", choices=("a", "b", "c", "d"), default=None,
                    help="a: gmes vs b, b: tmsv vs r, c: gmes(b fixed) vs N, d: tmsv(r fixed) vs N")
     p.add_argument("--start", type=float, default=None)
@@ -321,18 +308,62 @@ def _build_parser():
     p.add_argument("--b", type=float, default=15.0, help="fixed parameter for variant c")
     p.add_argument("--r", type=float, default=5.0, help="fixed parameter for variant d")
 
-    p = add_command("bell-oracle", "compare the Bell closed form with the measurement search")
+
+def _bell_oracle_arguments(p: argparse.ArgumentParser) -> None:
+    _shared_arguments(p)
     p.add_argument("--a", type=float, nargs=3, default=None, metavar=("A0", "A1", "A2"),
                    help="qutrit coefficients, normalized internally")
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--seed", type=int, default=0, help="base seed for stochastic searches")
 
-    p = add_command("kerr", "cross-Kerr fidelity report with component norms and Gram entries")
+
+def _kerr_arguments(p: argparse.ArgumentParser) -> None:
+    _shared_arguments(p)
     p.add_argument("--alpha", type=float, default=None, help="coherent amplitude")
     p.add_argument("--d", type=int, default=None, help="pseudo-number modulus")
     p.add_argument("--cutoff", type=int, default=None, help="Fock cutoff (default: adaptive)")
 
-    return parser, subparsers
+
+_DISPATCH = {
+    "spectrum": cmd_spectrum,
+    "fidelity": cmd_fidelity,
+    "fig1": cmd_fig1,
+    "fig2": cmd_fig2,
+    "bell-oracle": cmd_bell_oracle,
+    "kerr": cmd_kerr,
+}
+
+# the help line and the options of each command, in the order of _DISPATCH
+_COMMANDS = {
+    "spectrum": ("emit one Schmidt spectrum as CSV rows n,coeff", _spectrum_arguments),
+    "fidelity": ("fidelity between two states given as family:key=value specs", _fidelity_arguments),
+    "fig1": ("Bell ceiling of the qutrit truncation vs mean photon number", _fig1_arguments),
+    "fig2": ("fidelity sweeps against N-dimensional maximally entangled targets", _fig2_arguments),
+    "bell-oracle": ("compare the Bell closed form with the measurement search", _bell_oracle_arguments),
+    "kerr": ("cross-Kerr fidelity report with component norms and Gram entries", _kerr_arguments),
+}
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command: what ``gmeslab <name>`` reads after its name."""
+    parser = argparse.ArgumentParser(prog=f"gmeslab {name}")
+    _COMMANDS[name][1](parser)
+    return parser
+
+
+def _listing_parser() -> argparse.ArgumentParser:
+    """The top-level parser, whose commands carry their names and help lines and no options.
+
+    It prints ``gmeslab --help`` and the usage errors that name no command.
+    """
+    parser = argparse.ArgumentParser(
+        prog="gmeslab",
+        description="Schmidt spectra, Bell values and fidelities for Gaussian-mode entangled states.",
+    )
+    sub = parser.add_subparsers(metavar="command")
+    for name, (help_text, _) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text)
+    return parser
 
 
 def _load_config(path: str, subparser: argparse.ArgumentParser) -> list:
@@ -369,26 +400,31 @@ def _load_config(path: str, subparser: argparse.ArgumentParser) -> list:
 
 
 def main(argv=None) -> int:
-    parser, subparsers = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        if args.command is not None and args.config:
-            # config values go right after the subcommand, so explicit flags,
+        # argparse takes a command only as the first token, so a command
+        # there needs its parser alone; any other argv is --help or a usage error
+        if not argv or argv[0] not in _COMMANDS:
+            parser = _listing_parser()
+            parser.parse_args(argv)
+            parser.print_usage(sys.stderr)
+            return 2
+        parser = _command_parser(argv[0])
+        args, extras = parser.parse_known_args(argv[1:])
+        if args.config and not extras:
+            # config values go before the command's tokens, so explicit flags,
             # parsed later, still win
-            at = argv.index(args.command) + 1
-            config_argv = _load_config(args.config, subparsers[args.command])
-            args = parser.parse_args(argv[:at] + config_argv + argv[at:])
+            args, extras = parser.parse_known_args(_load_config(args.config, parser) + argv[1:])
+        if extras:
+            # reported as the top-level parser reports what no parser takes
+            _listing_parser().error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 2
     try:
-        return _DISPATCH[args.command](args)
+        return _DISPATCH[argv[0]](args)
     except (DomainError, ConfigError, TruncationError, DegenerateInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, TruncationError, check_integer, check_real
-from .states import MAX_CUTOFF, _check_mass, _pmf_support, _pmf_terms, _tail_window, poisson_tail
+from .states import MAX_CUTOFF, _check_mass, _pmf_support, _pmf_terms_far, _tail_window, poisson_tail
 
 # Phase states whose Gram matrix has min/max eigenvalue ratio below this are
 # numerically dependent.
@@ -176,7 +176,7 @@ def _gram_row(alpha: complex, d: int, cutoff: int) -> np.ndarray:
     # terms past the window from cutoff + 1 add under 1e-150 of those kept
     hi = min(_pmf_support(lam)[1], cutoff + 1 + _tail_window(lam)) if lam > 0.0 else 0
     if cutoff + 1 < hi:
-        past = np.bincount(np.arange(cutoff + 1, hi) % d, weights=_pmf_terms(cutoff + 1, hi, lam), minlength=d)
+        past = np.bincount(np.arange(cutoff + 1, hi) % d, weights=_pmf_terms_far(cutoff + 1, hi, lam), minlength=d)
         row -= d * np.fft.ifft(past)
     return row
 

@@ -92,7 +92,8 @@ def _check_cap(cap: int) -> None:
 # space so that no term underflows before it is negligible, and run only on
 # the support _pmf_support, outside which it rounds to 0.0.  A tail that is at
 # least ~0.4 (n below the mean) is 1 minus the terms up to n; a smaller one is
-# the sum of the terms past n, so the far tail stays relative-accurate.
+# the sum of the terms past n, so the far tail stays relative-accurate.  The
+# Kerr Gram row alone sums terms far past the mean, through _pmf_terms_far.
 # ---------------------------------------------------------------------------
 
 
@@ -136,6 +137,26 @@ def _pmf_terms(start: int, stop: int, lam: float) -> np.ndarray:
     k -= lam
     k -= log_factorial
     return np.exp(k, out=k)
+
+
+def _pmf_terms_far(start: int, stop: int, lam: float) -> np.ndarray:
+    """P(X = k) for k = start..stop-1, within a few 1e-13 relative far past the mean too.
+
+    There k log lam and log k! reach ~2e4 at lam ~ 1400 and cancel to ~-500,
+    so the kernel of _pmf_terms keeps only ~1e-11 of such a term.  From k = 16
+    on this is Loader's saddle-point form exp(-bd0 - stirlerr(k)) / sqrt(2 pi k):
+    bd0 = k log(k/lam) + lam - k is of the size of the log-pmf itself, and
+    stirlerr(k) = log k! - (k + 1/2) log k + k - log(2 pi)/2 comes from its
+    asymptotic series, whose first omitted term is below 1.1e-16 there.
+    """
+    k = np.arange(max(start, 16), stop, dtype=float)
+    r = 1.0 / (k * k)
+    stirlerr = (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / k
+    # k/lam overflows only for lam < 1e-305, where every term is 0.0 either way
+    with np.errstate(over="ignore"):
+        bd0 = k * np.log(k / lam) + (lam - k)
+    far = np.exp(-bd0 - stirlerr) / np.sqrt(2.0 * math.pi * k)
+    return np.concatenate((_pmf_terms(start, min(stop, 16), lam), far))
 
 
 def _tail_window(lam: float) -> int:
@@ -389,6 +410,9 @@ def solve_b_for_nbar(nbar: float) -> float:
     in [sqrt(2 nbar), 1.5 sqrt(2 nbar)]; the upper end is reached below
     nbar ~ 1e-12, where the spectrum holds c_0 alone and its mean is 0.  A
     result whose mean misses ``nbar`` by more than 1e-8 raises ``SolverError``.
+    That 1e-8 contract is tested up to nbar = 1000 and not guaranteed past
+    about 5000: the mean the cutoff drops jumps with the cut index, so it
+    raises at nbar = 12000, 15000 and 20000 and returns at 10000 and 18000.
     """
     nbar = check_real(nbar, "nbar", 0.0, strict=True)
     b = math.sqrt(2.0 * nbar)

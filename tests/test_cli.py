@@ -742,15 +742,22 @@ def test_kerr_builds_one_coherent_vector(capsys, monkeypatch):
 
 
 def poisson_weights(alpha, d, cutoff):
-    """n_k^2 and the truncated Gram row sum_r n_r^2 w^(kr), summed term by term at 40 digits."""
-    with mpmath.workdps(40):
+    """n_k^2 and the truncated Gram row |sum_r n_r^2 w^(kr)|, summed term by term to 50 digits."""
+    # the row falls to exp(-2 |alpha|^2 sin^2(pi k/d)) or to the pmf terms past
+    # the cutoff, whichever is larger, so 2 |alpha|^2 / ln 10 more digits cover what cancels
+    with mpmath.workdps(60 + math.ceil(2.0 * alpha * alpha / math.log(10.0))):
         lam = mpmath.mpf(alpha) ** 2
-        pmf = [mpmath.exp(-lam) * lam**n / mpmath.factorial(n) for n in range(cutoff + 1)]
-        weights = [mpmath.fsum(pmf[k::d]) for k in range(d)]
+        weights = [mpmath.mpf(0)] * d
+        term = mpmath.exp(-lam)
+        for n in range(cutoff + 1):
+            if n:
+                term = term * lam / n
+            weights[n % d] += term
         row = [
             abs(mpmath.fsum(w * mpmath.expjpi(mpmath.mpf(2 * k * r) / d) for r, w in enumerate(weights)))
             for k in range(d)
         ]
+        assert min(row) > mpmath.mpf(10) ** (50 - mpmath.mp.dps)
         return [float(w) for w in weights], [float(g) for g in row]
 
 
@@ -783,6 +790,31 @@ def test_kerr_past_alpha_10_at_the_default_cutoff(capsys, alpha, cutoff):
     np.testing.assert_allclose(values[4:6], poisson_weights(alpha, 2, cutoff)[0], rtol=1e-11)
 
 
+@settings(max_examples=100, deadline=2000, derandomize=True)
+@given(st.floats(0.0, 37.0, exclude_min=True), st.integers(2, 8))
+@example(37.0, 2)
+@example(37.0, 8)
+@example(35.76144042875384, 4)
+@example(4.0, 2)
+@example(0.2, 8)
+def test_kerr_gram_is_the_truncated_sum(alpha, d):
+    # every printed gram_0k, down to 1e-233 at alpha = 37, is the truncated-space sum to 1e-11
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["kerr", "--alpha", repr(alpha), "--d", str(d)])
+    cutoff = gmeslab.crosskerr.default_cutoff(alpha)
+    weights, gram = poisson_weights(alpha, d, cutoff)
+    if code == 2:
+        # refused only where the pseudo-number weights are numerically dependent
+        assert out.getvalue() == "" and err.getvalue().startswith("error: pseudo-")
+        assert min(weights) < 1.000001e-12 * max(weights)
+        return
+    assert code == 0 and err.getvalue() == ""
+    _, rows = rows_of(out.getvalue())
+    assert int(rows[0][2]) == cutoff
+    np.testing.assert_allclose([float(x) for x in rows[0][4 + d :]], gram[1:], rtol=1e-11, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # registered options
 # ---------------------------------------------------------------------------
@@ -810,15 +842,16 @@ def test_every_registered_option_is_read(tmp_path):
             reads.add(name)
             return super().__getattribute__(name)
 
-    parser, subparsers = gmeslab.cli._build_parser()
-    seen = {name: set() for name in subparsers}
+    assert list(gmeslab.cli._COMMANDS) == list(gmeslab.cli._DISPATCH)
+    parsers = {name: gmeslab.cli._command_parser(name) for name in gmeslab.cli._COMMANDS}
+    seen = {name: set() for name in parsers}
     for argv in OPTION_RUNS:
-        args = parser.parse_args([*argv, "--out", str(tmp_path / "out.csv")], namespace=Recording())
+        args = parsers[argv[0]].parse_args([*argv[1:], "--out", str(tmp_path / "out.csv")], namespace=Recording())
         reads.clear()
         assert gmeslab.cli._DISPATCH[argv[0]](args) == 0
         seen[argv[0]] |= reads
-    for name, subparser in subparsers.items():
-        dests = {action.dest for action in subparser._actions} - {"command", "config", "help"}
+    for name, parser in parsers.items():
+        dests = {action.dest for action in parser._actions} - {"config", "help"}
         assert dests <= seen[name], f"{name} never reads {sorted(dests - seen[name])}"
 
 

@@ -236,6 +236,23 @@ def test_pmf_terms_read_the_log_factorial_table(lam, start, offset):
         assert np.array_equal(bits(states._pmf_terms(start, stop, lam)), bits(reference_pmf(k, lam)))
 
 
+@pytest.mark.parametrize("lam", [1e-3, 0.5, 3.0, 16.0, 100.0, 1369.0])
+def test_pmf_terms_far_are_relative_accurate(lam):
+    # from just past the mean to the underflow, where the plain kernel keeps only ~1e-11 at lam = 1369
+    start = math.floor(lam) + 1
+    stop = start + int(6 * math.sqrt(lam) + 3 * lam) + 40
+    terms = states._pmf_terms_far(start, stop, lam)
+    assert terms.shape == (stop - start,)
+    with mpmath.workdps(40):
+        mlam = mpmath.mpf(lam)
+        for k in range(start, stop, max(1, (stop - start) // 150)):
+            want = mpmath.exp(k * mpmath.log(mlam) - mlam - mpmath.loggamma(k + 1))
+            if want > 1e-300:
+                assert abs(terms[k - start] - want) <= 1e-12 * want, k
+    # tiny means: k/lam overflows, and every term is 0.0 without a warning
+    assert not states._pmf_terms_far(21, 1600, 1e-306).any()
+
+
 def test_log_factorial_table_is_gammaln_bit_for_bit():
     # the committed table stands in for scipy at import, so it must hold gammaln's own bits
     table = states._LOG_FACTORIAL
