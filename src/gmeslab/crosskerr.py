@@ -17,8 +17,9 @@ the discrete Fourier transform of the number basis.  So <e_j | alpha w^j> =
 (1/sqrt(d)) sum_k n_k for every j, and the output sum_j n_j |j_d> (x)
 |alpha w^j> overlaps the target by (1/d) (sum_k n_k)^2.  Their Gram matrix
 G_jk = sum_m n_m^2 w^((k-j)m) is the circulant whose first row is
-exp(|alpha|^2 (w^k - 1)) less the pmf terms past the cutoff, so one coherent
-vector, not d rotated ones, gives the whole Kerr report; the two-mode
+exp(|alpha|^2 (w^k - 1)) less the pmf terms past the cutoff.  Both n_k^2 and
+those terms are the Poisson(|alpha|^2) pmf folded mod d, so one evaluation of
+it, and no amplitude vector, gives the whole Kerr report; the two-mode
 helpers below stay for tests that rebuild the overlap directly.
 """
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, TruncationError, check_integer, check_real
-from .states import MAX_CUTOFF, _check_mass, _pmf_support, _pmf_terms_far, _tail_window, poisson_tail
+from .states import MAX_CUTOFF, _check_mass, _pmf_saddle, _pmf_support, _tail_window
 
 # Phase states whose Gram matrix has min/max eigenvalue ratio below this are
 # numerically dependent.
@@ -91,39 +92,45 @@ def _modulus(alpha: complex) -> float:
 
 
 def default_cutoff(alpha: complex) -> int:
-    """Fock cutoff |alpha|^2 + 8|alpha| + 20 (~1e-10 loss), at least the 2|alpha|^2 coherent_fock needs."""
+    """Fock cutoff |alpha|^2 + 8|alpha| + 20 (~1e-10 loss), and at least 2|alpha|^2, the truncation policy."""
     a = _modulus(alpha)
-    # 2 a**2 as coherent_fock's guard computes |alpha|^2: a * a can be one ulp below a**2
+    # 2 a**2 as the policy computes |alpha|^2: a * a can be one ulp below a**2
     return math.ceil(max(a * a + 8.0 * a + 20.0, 2.0 * a**2))
+
+
+def _mean_and_cutoff(alpha: complex, cutoff: int | None) -> tuple[float, int]:
+    """(|alpha|^2, cutoff or the default), both checked, and the policy cutoff >= 2|alpha|^2 enforced."""
+    lam = _modulus(alpha) ** 2
+    cutoff = check_integer(default_cutoff(alpha) if cutoff is None else cutoff, "cutoff", 0)
+    if cutoff > MAX_CUTOFF:
+        raise TruncationError(f"cutoff {cutoff} exceeds the hard cap {MAX_CUTOFF}")
+    if lam > cutoff / 2.0:
+        raise TruncationError(f"cutoff {cutoff} is too small for |alpha|^2 = {lam:.3f}; need at least 2|alpha|^2")
+    return lam, cutoff
+
+
+def _folded_pmf(lam: float, d: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """P(X = n), X ~ Poisson(lam), summed over each residue n mod d: over n <= cutoff, and over n > cutoff."""
+    if lam == 0.0:  # the vacuum: P(X = 0) = 1, where the kernel would take log 0
+        lo, pmf = 0, np.ones(1)
+    else:  # one kernel call; terms past the window from cutoff + 1 add under 1e-150 of those kept
+        lo, hi = _pmf_support(lam)
+        pmf = _pmf_saddle(lo, min(hi, cutoff + 1 + _tail_window(lam)), lam)
+    residues = np.arange(lo, lo + pmf.size) % d
+    cut = cutoff + 1 - lo
+    return np.bincount(residues[:cut], pmf[:cut], d), np.bincount(residues[cut:], pmf[cut:], d)
 
 
 def coherent_fock(alpha: complex, cutoff: int | None = None) -> FockVector:
     """Coherent-state amplitudes e^(-|alpha|^2/2) alpha^n / sqrt(n!) up to ``cutoff``.
 
-    Amplitudes come from the recurrence a_{n+1} = a_n alpha/sqrt(n+1), finite up to
-    |alpha| ~ 37.7; the exact Poisson tail past the cutoff is recorded as the loss.
+    They are sqrt(P(X = n)) e^(i n arg alpha), X ~ Poisson(|alpha|^2), finite at
+    every |alpha|; the pmf past the cutoff is recorded as the loss.
     """
-    _modulus(alpha)  # first: complex() raises OverflowError past the float range
-    alpha = complex(alpha)
-    if cutoff is None:
-        cutoff = default_cutoff(alpha)
-    cutoff = check_integer(cutoff, "cutoff", 0)
-    if cutoff > MAX_CUTOFF:
-        raise TruncationError(f"cutoff {cutoff} exceeds the hard cap {MAX_CUTOFF}")
-    mag_sq = abs(alpha) ** 2
-    if mag_sq > cutoff / 2.0:
-        raise TruncationError(
-            f"cutoff {cutoff} is too small for |alpha|^2 = {mag_sq:.3f}; need at least 2|alpha|^2"
-        )
-    ratios = np.ones(cutoff + 1, dtype=complex)
-    if cutoff > 0:
-        ratios[1:] = alpha / np.sqrt(np.arange(1.0, cutoff + 1.0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        amps = math.exp(-mag_sq / 2.0) * np.cumprod(ratios)
-    if not np.isfinite(amps[-1]):  # a partial product that overflows leaves every later one inf or nan
-        raise DomainError(f"the amplitude recurrence overflows the float range at |alpha|^2 = {mag_sq:.3f}")
-    loss = poisson_tail(cutoff, mag_sq)
-    return FockVector(amps, cutoff, loss)
+    lam, cutoff = _mean_and_cutoff(alpha, cutoff)
+    probs, past = _folded_pmf(lam, cutoff + 1, cutoff)  # mod cutoff + 1 every n <= cutoff is its own residue
+    amps = np.sqrt(probs) * np.exp(1j * np.angle(complex(alpha)) * np.arange(cutoff + 1))
+    return FockVector(amps, cutoff, float(past.sum()))
 
 
 def two_mode_product(v1: FockVector, v2: FockVector) -> TwoModeFock:
@@ -164,21 +171,11 @@ def cross_kerr_apply(s: TwoModeFock, d: int) -> TwoModeFock:
     return TwoModeFock(s.amps * phases[residues], s.cutoff, s.loss)
 
 
-def _gram_row(alpha: complex, d: int, cutoff: int) -> np.ndarray:
-    """First Gram row sum_{n <= cutoff} P(X = n) w^(kn), k < d, for X ~ Poisson(|alpha|^2), w = e^(2 pi i/d).
-
-    It is exp(|alpha|^2 (w^k - 1)), of modulus exp(-2|alpha|^2 sin^2(pi k/d)) and free of cancellation,
-    less the pmf terms past the cutoff folded mod d; d ifft(n^2) would leave its small entries at rounding noise.
-    """
-    lam = abs(complex(alpha)) ** 2
-    row = np.exp(lam * np.expm1(2j * np.pi * np.arange(d) / d))
-    # the pmf support ends below 4096 at every |alpha| coherent_fock accepts, and
-    # terms past the window from cutoff + 1 add under 1e-150 of those kept
-    hi = min(_pmf_support(lam)[1], cutoff + 1 + _tail_window(lam)) if lam > 0.0 else 0
-    if cutoff + 1 < hi:
-        past = np.bincount(np.arange(cutoff + 1, hi) % d, weights=_pmf_terms_far(cutoff + 1, hi, lam), minlength=d)
-        row -= d * np.fft.ifft(past)
-    return row
+def _gram_row(lam: float, past: np.ndarray) -> np.ndarray:
+    """First Gram row sum_{n <= cutoff} P(X = n) w^(kn): exp(lam (w^k - 1)), of modulus exp(-2 lam sin^2(pi k/d))
+    and free of cancellation where d ifft(n^2) is not, less ``past``, the pmf past the cutoff folded mod d."""
+    d = past.size
+    return np.exp(lam * np.expm1(2j * np.pi * np.arange(d) / d)) - d * np.fft.ifft(past)
 
 
 def pseudo_phase_gram(alpha: complex, d: int, cutoff: int | None = None) -> np.ndarray:
@@ -188,27 +185,26 @@ def pseudo_phase_gram(alpha: complex, d: int, cutoff: int | None = None) -> np.n
     (see the module docstring), so its magnitudes are exp(-|alpha|^2 (1 - cos(2 pi (k-j)/d))) up to that tail.
     """
     d = check_integer(d, "modulus d", 1)
-    first_row = _gram_row(alpha, d, coherent_fock(alpha, cutoff).cutoff)
+    lam, cutoff = _mean_and_cutoff(alpha, cutoff)
+    first_row = _gram_row(lam, _folded_pmf(lam, d, cutoff)[1])
     return np.stack([np.roll(first_row, j) for j in range(d)])
 
 
 def _kerr_row(alpha: complex, d: int, cutoff: int | None):
-    """(fidelity, n_k^2, first Gram row) of the Kerr report, from one coherent vector."""
+    """(fidelity, n_k^2, first Gram row) of the Kerr report, from one pmf evaluation."""
     d = check_integer(d, "modulus d", 1)
-    base = coherent_fock(alpha, cutoff)
-    if d > base.cutoff + 1:  # checked before the O(d) weights exist
-        raise DegenerateInputError(f"component k={base.cutoff + 1} is empty: d = {d} > cutoff + 1")
+    lam, cutoff = _mean_and_cutoff(alpha, cutoff)
+    if d > cutoff + 1:  # checked before the O(d) weights exist
+        raise DegenerateInputError(f"component k={cutoff + 1} is empty: d = {d} > cutoff + 1")
     # n_k^2, the squared norms of the pseudo-number components
-    weights = np.bincount(np.arange(base.cutoff + 1) % d, weights=(base.amps * base.amps.conj()).real, minlength=d)
+    weights, past = _folded_pmf(lam, d, cutoff)
     if weights.min() < 1e-24:
-        raise DegenerateInputError(
-            f"pseudo-number component k={weights.argmin()} has negligible weight for alpha={complex(alpha)}"
-        )
+        raise DegenerateInputError(f"pseudo-number component k={weights.argmin()} has negligible weight "
+                                   f"for alpha={complex(alpha)}")
     if weights.min() < _GRAM_EIG_FLOOR * weights.max():
-        raise DegenerateInputError(
-            f"pseudo-phase states are numerically dependent (Gram eigenvalue {d * weights.min():.3e})"
-        )
-    return min(1.0, float(np.sqrt(weights).sum()) ** 2 / d), weights, _gram_row(alpha, d, base.cutoff)
+        raise DegenerateInputError(f"pseudo-phase states are numerically dependent (Gram eigenvalue "
+                                   f"{d * weights.min():.3e})")
+    return min(1.0, float(np.sqrt(weights).sum()) ** 2 / d), weights, _gram_row(lam, past)
 
 
 def kerr_mes_fidelity(alpha: complex, d: int, cutoff: int | None = None) -> float:
@@ -217,8 +213,8 @@ def kerr_mes_fidelity(alpha: complex, d: int, cutoff: int | None = None) -> floa
     The target is (1/sqrt(d)) sum_k |k_d> (x) |e_k>, with |k_d> the normalized
     pseudo-number components of |alpha> and |e_k> the Loewdin-orthonormalized
     phase-shifted coherent states.  The overlap equals (sum_k n_k)^2 / d with
-    n_k the pseudo-number norms (see the module docstring), so it costs
-    O(cutoff); rounding can push that sum past 1, so it is clamped to 1.
+    n_k the pseudo-number norms (see the module docstring); rounding can push
+    that sum past 1, so it is clamped to 1.
 
     Raises ``DegenerateInputError`` when d > cutoff + 1 or some n_k is below
     1e-12, or when the phase states are numerically dependent: their Gram

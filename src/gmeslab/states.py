@@ -93,7 +93,7 @@ def _check_cap(cap: int) -> None:
 # the support _pmf_support, outside which it rounds to 0.0.  A tail that is at
 # least ~0.4 (n below the mean) is 1 minus the terms up to n; a smaller one is
 # the sum of the terms past n, so the far tail stays relative-accurate.  The
-# Kerr Gram row alone sums terms far past the mean, through _pmf_terms_far.
+# Kerr report takes every pmf term relative-accurate, from _pmf_saddle.
 # ---------------------------------------------------------------------------
 
 
@@ -139,24 +139,27 @@ def _pmf_terms(start: int, stop: int, lam: float) -> np.ndarray:
     return np.exp(k, out=k)
 
 
-def _pmf_terms_far(start: int, stop: int, lam: float) -> np.ndarray:
-    """P(X = k) for k = start..stop-1, within a few 1e-13 relative far past the mean too.
+def _pmf_saddle(start: int, stop: int, lam: float) -> np.ndarray:
+    """P(X = k) for k = start..stop-1, X ~ Poisson(lam > 0), within ~5e-13 relative down to 1e-300.
 
-    There k log lam and log k! reach ~2e4 at lam ~ 1400 and cancel to ~-500,
-    so the kernel of _pmf_terms keeps only ~1e-11 of such a term.  From k = 16
-    on this is Loader's saddle-point form exp(-bd0 - stirlerr(k)) / sqrt(2 pi k):
-    bd0 = k log(k/lam) + lam - k is of the size of the log-pmf itself, and
-    stirlerr(k) = log k! - (k + 1/2) log k + k - log(2 pi)/2 comes from its
-    asymptotic series, whose first omitted term is below 1.1e-16 there.
+    Far past the mean k log lam and log k! cancel (from ~2e4 to ~-500 at lam ~ 1400), so _pmf_terms keeps
+    only ~1e-11 there.  From k = 16 on this is Loader's saddle-point form exp(-bd0 - stirlerr(k)) / sqrt(2 pi k),
+    bd0 = k log(k/lam) + lam - k, stirlerr(k) = log k! - (k + 1/2) log k + k - log(2 pi)/2 from its asymptotic
+    series (next term below 1.1e-16).  For lam/2 < k < 2 lam, where k log(k/lam) cancels against k - lam, bd0 is
+    v (k - lam + 2 k v^2 sum_j v^(2j)/(2j + 3)) with v = (k - lam)/(k + lam): |v| < 1/3, so j <= 16 reach 1e-17.
     """
     k = np.arange(max(start, 16), stop, dtype=float)
     r = 1.0 / (k * k)
     stirlerr = (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / k
+    diff = k - lam
     # k/lam overflows only for lam < 1e-305, where every term is 0.0 either way
     with np.errstate(over="ignore"):
-        bd0 = k * np.log(k / lam) + (lam - k)
-    far = np.exp(-bd0 - stirlerr) / np.sqrt(2.0 * math.pi * k)
-    return np.concatenate((_pmf_terms(start, min(stop, 16), lam), far))
+        bd0 = k * np.log(k / lam) - diff
+    near = (k < 2.0 * lam) & (2.0 * k > lam)
+    v = diff[near] / (k[near] + lam)
+    bd0[near] = v * (diff[near] + 2.0 * k[near] * v * v * np.polyval(1.0 / np.arange(35.0, 2.0, -2.0), v * v))
+    terms = np.exp(-bd0 - stirlerr) / np.sqrt(2.0 * math.pi * k)
+    return np.concatenate((_pmf_terms(start, min(stop, 16), lam), terms))
 
 
 def _tail_window(lam: float) -> int:

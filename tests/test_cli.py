@@ -708,8 +708,7 @@ def test_kerr_errors(capsys):
     assert run(capsys, "kerr", "--alpha", "4", "--d", "2", "--cutoff", "20")[0] == 2
     assert run(capsys, "kerr", "--alpha", "4", "--d", "2", "--tol", "1e-3")[0] == 2  # kerr reads no tol
     # a non-finite alpha, a cutoff past the cap and a modulus past the cutoff
-    # are typed errors, raised before any array of that size exists; so are
-    # amplitudes past the float range (|alpha| > 37.7), with no numpy warning
+    # are typed errors, raised before any array of that size exists
     for argv in (
         ("--d", "2"),
         ("--alpha", "nan", "--d", "2"),
@@ -717,28 +716,67 @@ def test_kerr_errors(capsys):
         ("--alpha", "1e200", "--d", "2"),
         ("--alpha", "1", "--d", "2", "--cutoff", "1000000000000000"),
         ("--alpha", "4", "--d", "1000000000000"),
-        ("--alpha", "38", "--d", "2", "--cutoff", "5000"),
     ):
         code, out, err = run(capsys, "kerr", *argv)
         assert code == 2, argv
         assert out == "" and err.startswith("error: ") and "Traceback" not in err
+    # past |alpha| ~ 37.7, where alpha^n / sqrt(n!) leaves the float range, the row prints
+    code, out, err = run(capsys, "kerr", "--alpha", "38", "--d", "2", "--cutoff", "5000")
+    assert (code, err) == (0, "")
+    assert rows_of(out)[1][0][2:] == ["5000", "1.0", "0.5", "0.5", "0.0"]
 
 
-def test_kerr_builds_one_coherent_vector(capsys, monkeypatch):
-    calls = []
-    original = gmeslab.crosskerr.coherent_fock
+@pytest.mark.parametrize("argv, code, text", [
+    (("--alpha", "0", "--d", "1"), 0, "alpha,d,cutoff,fidelity,norm2_k0\n0.0,1,20,1.0,1.0\n"),
+    # |alpha|^2 rounds to 0: the vacuum again, and no log 0 is taken
+    (("--alpha", "1e-200", "--d", "2"), 2,
+     "error: pseudo-number component k=1 has negligible weight for alpha=(1e-200+0j)\n"),
+    (("--alpha", "4", "--d", "2", "--cutoff", "20"), 2,
+     "error: cutoff 20 is too small for |alpha|^2 = 16.000; need at least 2|alpha|^2\n"),
+])
+def test_kerr_vacuum_and_the_cutoff_policy(capsys, argv, code, text):
+    got = run(capsys, "kerr", *argv)
+    assert got == ((0, text, "") if code == 0 else (code, "", text))
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
 
-    # every gmeslab name for it, so no call escapes the count
-    monkeypatch.setattr(gmeslab.crosskerr, "coherent_fock", counting)
-    monkeypatch.setattr(gmeslab.cli, "coherent_fock", counting, raising=False)
+def test_kerr_builds_no_coherent_vector(capsys, monkeypatch):
+    calls = {"coherent_fock": 0, "_pmf_saddle": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    # every gmeslab name for each, so no call escapes the count
+    for name in calls:
+        monkeypatch.setattr(gmeslab.crosskerr, name, counting(name, getattr(gmeslab.crosskerr, name)))
+    monkeypatch.setattr(gmeslab.cli, "coherent_fock", gmeslab.crosskerr.coherent_fock, raising=False)
     for d in (2, 5):
-        calls.clear()
+        calls.update(coherent_fock=0, _pmf_saddle=0)
         assert run(capsys, "kerr", "--alpha", "2.5", "--d", str(d))[0] == 0
-        assert len(calls) == 1
+        assert calls == {"coherent_fock": 0, "_pmf_saddle": 1}
+    calls.update(coherent_fock=0, _pmf_saddle=0)
+    gmeslab.crosskerr.pseudo_phase_gram(2.5, 3)
+    assert calls == {"coherent_fock": 0, "_pmf_saddle": 1}
+
+
+def test_kerr_memory_is_the_pmf_support(capsys):
+    # at |alpha| = 1 the pmf support ends near n = 1500, so a cutoff of 200000
+    # needs no array of that length: no amplitude vector, no FockVector
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "kerr", "--alpha", "1", "--d", "2", "--cutoff", "200000")
+        kerr_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        gram = gmeslab.crosskerr.pseudo_phase_gram(1.0, 3, 200000)
+        gram_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and rows_of(out)[1][0][2] == "200000"
+    assert abs(gram[0, 1]) == pytest.approx(math.exp(-1.5), rel=1e-14)
+    assert kerr_peak < 512_000
+    assert gram_peak < 512_000
 
 
 def poisson_weights(alpha, d, cutoff):
@@ -778,9 +816,9 @@ def test_kerr_alpha_10_at_the_default_cutoff(capsys, alpha, d, cutoff):
     np.testing.assert_allclose(values[4 + d :], gram[1:], rtol=1e-11)
 
 
-@pytest.mark.parametrize("alpha, cutoff", [(11, 242), (12, 288), (15, 450), (37, 2738)])
+@pytest.mark.parametrize("alpha, cutoff", [(11, 242), (12, 288), (15, 450), (37, 2738), (38, 2888)])
 def test_kerr_past_alpha_10_at_the_default_cutoff(capsys, alpha, cutoff):
-    # past |alpha| = 10 the default cutoff is the 2|alpha|^2 the coherent vector needs
+    # past |alpha| = 10 the default cutoff is the 2|alpha|^2 of the truncation policy
     # (|alpha|^2 + 8|alpha| + 20 = 229 at alpha = 11 fell short of it)
     code, out, err = run(capsys, "kerr", "--alpha", str(alpha), "--d", "2")
     assert code == 0 and err == ""
@@ -788,6 +826,20 @@ def test_kerr_past_alpha_10_at_the_default_cutoff(capsys, alpha, cutoff):
     values = [float(x) for x in rows[0]]
     assert values[2] == cutoff
     np.testing.assert_allclose(values[4:6], poisson_weights(alpha, 2, cutoff)[0], rtol=1e-11)
+
+
+@pytest.mark.parametrize("argv, d, cutoff", [(("--alpha", "38", "--cutoff", "5000"), 2, 5000),
+                                              (("--alpha", "38", "--cutoff", "5000"), 7, 5000),
+                                              (("--alpha", "100"), 3, 20000)])
+def test_kerr_past_the_float_range_of_the_amplitudes(capsys, argv, d, cutoff):
+    # no amplitude alpha^n / sqrt(n!) is formed, so nothing overflows from |alpha| ~ 37.7 on
+    code, out, err = run(capsys, "kerr", *argv, "--d", str(d))
+    assert (code, err) == (0, "")
+    values = [float(x) for x in rows_of(out)[1][0]]
+    assert values[2] == cutoff
+    weights, gram = poisson_weights(int(argv[1]), d, cutoff)
+    np.testing.assert_allclose(values[4 : 4 + d], weights, rtol=1e-11)
+    np.testing.assert_allclose(values[4 + d :], gram[1:], rtol=1e-11, atol=0.0)
 
 
 @settings(max_examples=100, deadline=2000, derandomize=True)

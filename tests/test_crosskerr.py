@@ -150,13 +150,21 @@ def test_default_cutoff_passes_the_coherent_guard(alpha):
 
 
 def test_coherent_amplitudes_past_the_float_range():
-    # alpha^n / sqrt(n!) overflows near n = |alpha|^2 from |alpha| ~ 37.74 on
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(DomainError, match=r"overflows .* \|alpha\|\^2 = 1444"):
-            coherent_fock(38.0, 5000)
-    assert caught == []
-    assert np.all(np.isfinite(coherent_fock(37.7, 5000).amps))
+    # alpha^n / sqrt(n!) overflows near n = |alpha|^2 from |alpha| ~ 37.74 on;
+    # sqrt(P(X = n)) e^(i n arg alpha) is finite at every |alpha|
+    for alpha, cutoff in ((38.0, 5000), (100.0, 20000)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            v = coherent_fock(alpha, cutoff)
+        assert caught == []
+        assert np.all(np.isfinite(v.amps))
+        assert abs(v.norm() ** 2 - 1.0) <= v.loss + 1e-12
+        lam = alpha * alpha
+        with mpmath.workdps(40):
+            for n in (0, 1, int(lam) // 2, int(lam), int(lam) + 7, int(lam + 5 * alpha), int(lam + 20 * alpha)):
+                want = mpmath.exp((n * mpmath.log(lam) - lam - mpmath.loggamma(n + 1)) / 2)
+                assert v.amps[n].imag == 0.0
+                assert abs(v.amps[n].real - want) <= 1e-12 * want + 1e-300, (alpha, n)
 
 
 # ---------------------------------------------------------------------------

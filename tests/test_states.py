@@ -236,21 +236,24 @@ def test_pmf_terms_read_the_log_factorial_table(lam, start, offset):
         assert np.array_equal(bits(states._pmf_terms(start, stop, lam)), bits(reference_pmf(k, lam)))
 
 
-@pytest.mark.parametrize("lam", [1e-3, 0.5, 3.0, 16.0, 100.0, 1369.0])
+@pytest.mark.parametrize("lam", [1e-3, 0.5, 3.0, 16.0, 100.0, 1369.0, 1e4, 9e4])
 def test_pmf_terms_far_are_relative_accurate(lam):
-    # from just past the mean to the underflow, where the plain kernel keeps only ~1e-11 at lam = 1369
-    start = math.floor(lam) + 1
-    stop = start + int(6 * math.sqrt(lam) + 3 * lam) + 40
-    terms = states._pmf_terms_far(start, stop, lam)
-    assert terms.shape == (stop - start,)
+    # states._pmf_saddle over the whole support: k < 16; the terms near the mean, where
+    # k log(k/lam) + lam - k cancels (1.1e-11 at lam = 9e4 without the series); and
+    # the far tail, where the plain kernel keeps only ~1e-11 at lam = 1369
+    lo, hi = states._pmf_support(lam)
+    terms = states._pmf_saddle(lo, hi, lam)
+    assert terms.shape == (hi - lo,)
+    mean = math.floor(lam)
+    ks = {*range(lo, min(hi, 40)), *range(max(lo, mean - 40), min(hi, mean + 40)), *range(lo, hi, (hi - lo) // 150)}
     with mpmath.workdps(40):
         mlam = mpmath.mpf(lam)
-        for k in range(start, stop, max(1, (stop - start) // 150)):
+        for k in sorted(ks):
             want = mpmath.exp(k * mpmath.log(mlam) - mlam - mpmath.loggamma(k + 1))
             if want > 1e-300:
-                assert abs(terms[k - start] - want) <= 1e-12 * want, k
+                assert abs(terms[k - lo] - want) <= 1e-12 * want, k
     # tiny means: k/lam overflows, and every term is 0.0 without a warning
-    assert not states._pmf_terms_far(21, 1600, 1e-306).any()
+    assert not states._pmf_saddle(21, 1600, 1e-306).any()
 
 
 def test_log_factorial_table_is_gammaln_bit_for_bit():
