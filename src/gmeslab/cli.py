@@ -163,14 +163,13 @@ def cmd_fig1(args) -> int:
     # GMES: c_n = sqrt(P(X > n)/lam), X ~ Poisson(lam = b^2 = 2 nbar) since sum_n n f(n, b) = b^2/2;
     # TMSV: c_n = t^n / cosh r, t^2 = nbar/(1 + nbar).  Renormalizing cancels 1/lam and 1/cosh r.
     nbars = _sweep(args.start, args.stop, args.steps, args.spacing)
-    tails = np.empty((nbars.size, 3))
-    # point by point, so that 2 nbar = inf is refused before numpy could warn on it
-    for row, nbar in zip(tails, nbars.tolist()):
-        lam = 2.0 * nbar
-        if not (nbar >= 1e-150 and math.isfinite(lam)):
+    # checked point by point, so that 2 nbar = inf is refused before numpy could warn on it; then the
+    # tails of every point come from one kernel call over the grid of means
+    for nbar in nbars.tolist():
+        if not (nbar >= 1e-150 and math.isfinite(2.0 * nbar)):
             raise DomainError(f"fig1 needs nbar >= 1e-150, where P(X > 1) ~ 2 nbar^2 is still a normal float, "
                               f"and 2 nbar finite, got nbar={_fmt(nbar)}")
-        row[:] = _poisson_tail_array(lam, 2)
+    tails = _poisson_tail_array(2.0 * nbars, 2)
     t = np.sqrt(nbars / (1.0 + nbars))
     tmsv = np.stack((np.ones_like(t), t, t * t), axis=1)
     rows = zip(nbars.tolist(), _bell_of_rows(np.sqrt(tails)).tolist(), _bell_of_rows(tmsv).tolist())

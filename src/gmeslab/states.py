@@ -117,23 +117,42 @@ def gammaln(x):
 def _pmf_support(lam: float) -> tuple[int, int]:
     """[lo, hi): the k outside it have exp(k log lam - lam - gammaln(k+1)) == 0.0.
 
-    By the Chernoff bound log P(X = k) <= -lam h(k/lam), h(x) = x log x - x + 1,
-    with h(x) >= (1 - x)^2/2 below the mean and h(x) >= (x - 1)^2/(2x) above it,
-    every log-pmf outside [lo, hi) is below -750.  exp rounds anything below
-    -745.13 to 0.0, and the log-pmf itself rounds by about lam log(lam) 2^-52,
-    ~1e-9 at lam = 2e5, so the margin of ~5 holds for every lam below ~1e13.
+    Every log-pmf outside [lo, hi) is below -750.  Below the mean the Chernoff
+    bound log P(X = k) <= -lam h(k/lam), h(x) = x log x - x + 1 >= (1 - x)^2/2,
+    gives that for k < lam - sqrt(1500 lam).  Above it log k! >= k log k - k +
+    log(2 pi k)/2 gives log P(X = k) <= -g(k), g(k) = lam h(k/lam) + log(2 pi k)/2,
+    increasing and convex for k > lam, and hi is the first k > lam with
+    g(k) >= 750: Newton steps from Bernstein's h(1 + u) >= u^2/(2 + 2u/3), whose
+    bound lam + 250 + sqrt(250^2 + 1500 lam) lies above it, come down to it.
+    exp rounds anything below -745.13 to 0.0, and the log-pmf itself rounds by
+    about lam log(lam) 2^-52, ~1e-9 at lam = 2e5, so the margin of ~5 holds for
+    every lam below ~1e13; past that Bernstein's bound is kept.  Both ends are
+    integers offset from floor(lam), so that they stay apart at every mean.
     """
     spread = _SQRT_1500 * math.sqrt(lam)  # sqrt(1500 lam), finite for every finite lam
-    lo = max(0, math.floor(lam - spread))
-    hi = math.ceil(lam + 750.0 + math.hypot(750.0, spread)) + 1
+    mean = math.floor(lam)
+    lo = max(0, mean - math.ceil(spread))
+    hi = mean + math.ceil(250.0 + math.hypot(250.0, spread)) + 1
+    if lam < 1e13:
+        k, log_lam = float(hi), math.log(lam)  # log k - log lam, as k/lam overflows for lam < 1e-306
+        while True:
+            r = math.log(k) - log_lam
+            step = (k * r - k + lam + 0.5 * math.log(2.0 * math.pi * k) - 750.0) / (r + 0.5 / k)
+            k -= step
+            if step < 0.5:
+                break
+        hi = min(hi, math.ceil(k))
     return lo, hi
 
 
-def _pmf_terms(start: int, stop: int, lam: float) -> np.ndarray:
-    """The kernel exp(k log lam - lam - gammaln(k+1)) for k = start..stop-1."""
+def _pmf_terms(start: int, stop: int, lam) -> np.ndarray:
+    """The kernel exp(k log lam - lam - gammaln(k+1)) for k = start..stop-1; a column of means gives a row each."""
     k = np.arange(start, stop, dtype=float)
     log_factorial = _LOG_FACTORIAL[start:stop] if stop <= _LOG_FACTORIAL.size else gammaln(k + 1.0)
-    k *= math.log(lam)
+    if isinstance(lam, np.ndarray):  # math.log for every row, so that each row is its mean's own call bit for bit
+        k = k * np.array([math.log(x) for x in lam.flat])[:, None]
+    else:
+        k *= math.log(lam)
     k -= lam
     k -= log_factorial
     return np.exp(k, out=k)
@@ -183,7 +202,7 @@ def poisson_tail(n: int, lam: float) -> float:
     return float(_poisson_tail_array(lam, int(n), int(n))[0])
 
 
-def _poisson_tail_array(lam: float, nmax: int, nmin: int = 0) -> np.ndarray:
+def _poisson_tail_array(lam, nmax: int, nmin: int = 0) -> np.ndarray:
     """P(X > n) for n = nmin..nmax and X ~ Poisson(lam > 0), relative-accurate in both tails.
 
     Below the mean (n + 1 <= lam) the tail, at least ~0.4 there, is 1 minus the
@@ -191,21 +210,53 @@ def _poisson_tail_array(lam: float, nmax: int, nmin: int = 0) -> np.ndarray:
     of the terms past n, from the far end min(hi, nmax + 1 + window) down.  Both
     sums are sequential, so the value at n does not depend on nmin, and on nmax
     only through terms past the window, below 1e-150 of the sum.  Below lo the
-    tail is 1.0, and from the last term on 0.0.
+    tail is 1.0, and from the last term on 0.0.  ``TruncationError`` if a sum
+    needs more than MAX_CUTOFF terms, before any of them is evaluated.
+
+    A 1-d numpy array of means gives one row per mean, each its own call's
+    array bit for bit.  The rows share one block of terms per sum, over the
+    union of their ranges: from the least mean's lo, and up to the window end
+    of the largest mean whose row reaches the upper sum.  That is exact, as a
+    row's terms outside its own [lo, hi) are 0.0, and a sequential sum that
+    starts with exact zeros is the sum without them.  So a row needs a mask
+    only where its bounds differ from the block's: past its own window end,
+    and at its split n = floor(lam) between the two sums.
     """
-    lo, hi = _pmf_support(lam)
-    end = min(hi, nmax + 1 + _tail_window(lam))
-    mid = min(max(math.floor(lam), nmin), nmax + 1)  # the first n of the upper sum
+    rows = isinstance(lam, np.ndarray)
+    if rows:
+        lam = lam.astype(float)[:, None]
+        mid = np.clip(np.floor(lam), nmin, nmax + 1)  # clipped before the casts: floor(lam) may pass int64
+        split, stop = int(mid.min()), int(mid.max())
+        low = float(lam.min())
+        high = float(lam.max(initial=low, where=lam < nmax + 1))
+        lo, hi = _pmf_support(low)[0], _pmf_support(high)[1]
+    else:
+        split = stop = min(max(math.floor(lam), nmin), nmax + 1)  # the first n of the upper sum
+        low = high = lam
+        lo, hi = _pmf_support(lam)
+    end = min(hi, nmax + 1 + _tail_window(high))
     top = min(end - 1, nmax + 1)  # from n = end - 1 on no term is left above n
     first = max(lo, nmin)
-    tail = np.zeros(nmax + 1 - nmin)
-    tail[: first - nmin] = 1.0
-    if first < mid:
-        cdf = np.cumsum(_pmf_terms(lo, mid, lam))[first - lo :]
-        tail[first - nmin : mid - nmin] = 1.0 - np.minimum(cdf, 1.0)
-    if mid < top:
-        above = np.cumsum(_pmf_terms(mid + 1, end, lam)[::-1])[::-1]
-        tail[mid - nmin : top - nmin] = above[: top - mid]
+    band = max(stop - lo if first < stop else 0, end - split - 1 if split < top else 0)
+    if band > MAX_CUTOFF:
+        raise TruncationError(f"P(X > n) at Poisson means up to {np.max(lam):.6g} sums {band} pmf terms, "
+                              f"past the hard cap {MAX_CUTOFF}")
+    tail = np.zeros((lam.size, nmax + 1 - nmin) if rows else nmax + 1 - nmin)
+    tail[..., : first - nmin] = 1.0
+    if first < stop:
+        cdf = np.cumsum(_pmf_terms(lo, stop, lam), axis=-1)[..., first - lo :]
+        below = 1.0 - np.minimum(cdf, 1.0)
+        if split < stop:  # a row's lower sum ends at its own split
+            below *= np.arange(first, stop) < mid
+        tail[..., first - nmin : stop - nmin] = below
+    if split < top:
+        terms = _pmf_terms(split + 1, end, lam)
+        if nmax + 1 + _tail_window(low) < end:  # a row's window may end inside the block: _tail_window per row
+            terms *= np.arange(split + 1, end) < nmax + 1 + np.floor(40.0 * np.sqrt(lam) + 60.0)
+        above = np.cumsum(terms[..., ::-1], axis=-1)[..., ::-1][..., : top - split]
+        if split < stop:  # and is read from its own split on; below it += adds 0.0 to the lower sum
+            above *= np.arange(split, top) >= mid
+        tail[..., split - nmin : top - nmin] += above
     return tail
 
 

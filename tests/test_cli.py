@@ -278,6 +278,32 @@ def test_fig1_builds_no_spectrum(capsys, monkeypatch):
     assert len(rows_of(out)[1]) == 200
 
 
+def test_fig1_makes_one_tail_array_call(capsys, monkeypatch):
+    # the whole grid in one call over its vector of means, not one call per point
+    calls = []
+    tail_array = gmeslab.cli._poisson_tail_array
+
+    def spy(lam, nmax, nmin=0):
+        calls.append((np.shape(lam), nmax, nmin))
+        return tail_array(lam, nmax, nmin)
+
+    monkeypatch.setattr(gmeslab.cli, "_poisson_tail_array", spy)
+    code, out, _ = run(capsys, "fig1")
+    assert code == 0
+    assert len(rows_of(out)[1]) == 200
+    assert calls == [((200,), 2, 0)]
+
+
+def test_fig1_means_past_the_int64_range(capsys):
+    # floor(2 nbar) passes int64 at every point, so the kernel clips each row's
+    # bounds before any integer cast: a cast would warn, an error under this
+    # suite's filterwarnings.  Every tail is 1.0, as for the uniform qutrit.
+    code, out, err = run(capsys, "fig1", "--start", "1e290", "--stop", "8e307", "--steps", "3")
+    assert (code, err) == (0, "")
+    uniform = gmeslab.cli._fmt(float(gmeslab.cli._bell_of_rows(np.ones((1, 3)))[0]))
+    assert [row[1:] for row in rows_of(out)[1]] == [[uniform, uniform]] * 3
+
+
 def fig1_row(nbar):
     """``(bell_gmes, bell_tmsv)`` as fig1 prints them at ``nbar``, the first point of its grid."""
     with contextlib.redirect_stdout(io.StringIO()) as out:

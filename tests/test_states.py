@@ -108,6 +108,26 @@ def test_poisson_tail_below_mean_memory():
     assert peak < 2_000_000
 
 
+@pytest.mark.parametrize("n,lam", [(1e300, 1e300), (10**20, 1e20)])
+def test_poisson_tail_refuses_a_band_past_the_cap(n, lam):
+    # lam - 38.7 sqrt(lam) rounds to lam at 1e300, and at 1e20 the terms past n
+    # would need a 2.8 TiB array: both sums are refused before any array is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncationError, match="hard cap"):
+            poisson_tail(n, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    # the support's ends are integers apart from the mean, and an n outside them
+    # still gets its 1.0 or 0.0
+    lo, hi = states._pmf_support(lam)
+    assert lo < math.floor(lam) < hi
+    assert poisson_tail(lo - 1, lam) == 1.0
+    assert poisson_tail(hi - 1, lam) == 0.0
+
+
 def test_poisson_tail_edges():
     assert poisson_tail(0, 0.0) == 0.0
     assert poisson_tail(7, 0.0) == 0.0
@@ -200,6 +220,62 @@ def test_pmf_support_is_exact(lam):
         assert np.array_equal(bits(states._poisson_tail_array(lam, nmax)), bits(want))
 
 
+def chernoff_support(lam):
+    """The support from the Chernoff bound alone, h(x) >= (1 - x)^2/2 below the mean and (x - 1)^2/(2x) above it."""
+    spread = math.sqrt(1500.0) * math.sqrt(lam)
+    return max(0, math.floor(lam - spread)), math.ceil(lam + 750.0 + math.hypot(750.0, spread)) + 1
+
+
+def underflow_bound(k, lam):
+    """lam h(k/lam) + log(2 pi k)/2, h(x) = x log x - x + 1, which bounds -log P(X = k) from below."""
+    return k * math.log(k / lam) - k + lam + 0.5 * math.log(2.0 * math.pi * k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1e-3, 2e5))
+@example(1e-3)
+@example(2e5)
+def test_pmf_support_upper_end_is_the_first_underflowing_bound(lam):
+    lo, hi = states._pmf_support(lam)
+    chernoff_lo, chernoff_hi = chernoff_support(lam)
+    assert chernoff_lo - 1 <= lo <= chernoff_lo and hi <= chernoff_hi
+    # every term from hi to past the Chernoff end is 0.0 in both kernels
+    for kernel in (states._pmf_terms, states._pmf_saddle):
+        assert not kernel(hi, chernoff_hi + 4, lam).any()
+    # hi is the first k > lam where the bound reaches 750, up to the rounding of the bound
+    assert underflow_bound(hi, lam) >= 750.0 - 1e-6
+    assert hi - 1 <= lam or underflow_bound(hi - 1, lam) < 750.0 + 1e-6
+
+
+@pytest.mark.parametrize("lam,hi", [(2.25, 211), (16.0, 351), (144.0, 818), (1444.0, 3143)])
+def test_pmf_support_ends_near_the_last_nonzero_term(lam, hi):
+    # the Chernoff end was 1506, 1533, 1778 and 3847 here: mostly exact zeros
+    lo = states._pmf_support(lam)[0]
+    assert states._pmf_support(lam)[1] == hi
+    for kernel in (states._pmf_terms, states._pmf_saddle):
+        last = lo + np.flatnonzero(kernel(lo, hi, lam))[-1]
+        assert hi - last <= 8
+
+
+SPECIAL_MEANS = (0.5, 2.99, 3.0, 1500.0, 1508.0, 8.9e307)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.floats(-300.0, 6.0), min_size=1, max_size=50), st.lists(st.sampled_from(SPECIAL_MEANS)),
+       st.integers(0, 2000), st.integers(0, 2000))
+@example([-2.0, 2.0], list(SPECIAL_MEANS), 0, 2)  # fig1's shape
+@example([0.0], [], 0, 0)
+@example([3.2], [1508.0], 1490, 1510)
+def test_tail_array_rows_are_the_scalar_calls(exponents, special, a, b):
+    # each row of the call over a vector of means is its own mean's call bit for bit
+    lams = np.array([10.0**e for e in exponents] + special)
+    nmin, nmax = min(a, b), max(a, b)
+    rows = states._poisson_tail_array(lams, nmax, nmin)
+    assert rows.shape == (lams.size, nmax + 1 - nmin)
+    for lam, row in zip(lams.tolist(), rows):
+        assert np.array_equal(bits(row), bits(states._poisson_tail_array(lam, nmax, nmin))), lam
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.0, 2.5e5, exclude_min=True), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
 @example(13.69, [0.5])  # n = 13 = floor(lam): the upper sum, though CDF(13) < 0.5
@@ -245,7 +321,8 @@ def test_pmf_terms_far_are_relative_accurate(lam):
     terms = states._pmf_saddle(lo, hi, lam)
     assert terms.shape == (hi - lo,)
     mean = math.floor(lam)
-    ks = {*range(lo, min(hi, 40)), *range(max(lo, mean - 40), min(hi, mean + 40)), *range(lo, hi, (hi - lo) // 150)}
+    ks = {*range(lo, min(hi, 40)), *range(max(lo, mean - 40), min(hi, mean + 40)),
+          *range(lo, hi, max(1, (hi - lo) // 150))}
     with mpmath.workdps(40):
         mlam = mpmath.mpf(lam)
         for k in sorted(ks):
