@@ -89,11 +89,13 @@ def _check_cap(cap: int) -> None:
 # ---------------------------------------------------------------------------
 # Poisson tail primitives.  f(n, b) = P(X > n)/b^2 with X ~ Poisson(b^2).
 # Every tail is a sum of pmf terms from one kernel, _pmf_terms, taken in log
-# space so that no term underflows before it is negligible, and run only on
-# the support _pmf_support, outside which it rounds to 0.0.  A tail that is at
+# space so that no term underflows before it is negligible.  A tail that is at
 # least ~0.4 (n below the mean) is 1 minus the terms up to n; a smaller one is
 # the sum of the terms past n, so the far tail stays relative-accurate.  The
-# Kerr report takes every pmf term relative-accurate, from _pmf_saddle.
+# kernel runs only where those sums can resolve a term: from 12 sqrt(lam) + 30
+# below the mean to 20 sqrt(lam) + 60 past the last n, and never outside the
+# support _pmf_support, where every term rounds to 0.0.  The Kerr report takes
+# every pmf term of the support relative-accurate, from _pmf_saddle.
 # ---------------------------------------------------------------------------
 
 
@@ -190,7 +192,13 @@ def _tail_window(lam: float) -> int:
 
 
 def poisson_tail(n: int, lam: float) -> float:
-    """P(X > n) for X ~ Poisson(lam), stable in both tails; a real n counts as floor(n), +-inf included."""
+    """P(X > n) for X ~ Poisson(lam), stable in both tails; a real n counts as floor(n), +-inf included.
+
+    ``TruncationError`` where a sum needs more than MAX_CUTOFF terms: an n at
+    or above the mean from lam ~ 9.994e7 on, an n just below it from ~2.777e8
+    on.  Past lam ~ 1e7 the rounding of k log lam costs about 1e-7 relative
+    (7e-8 from pdtrc at lam = 9.994e7, n = floor(lam)).
+    """
     lam = check_real(lam, "Poisson mean", 0.0)
     if n != n:
         raise DomainError("n must be a number, got nan")
@@ -202,58 +210,85 @@ def poisson_tail(n: int, lam: float) -> float:
     return float(_poisson_tail_array(lam, int(n), int(n))[0])
 
 
+def _lower_start(lam: float) -> int:
+    """Where a lower sum starts: the mass below floor(lam) - ceil(12 sqrt(lam) + 30) is under e^-72."""
+    return max(0, math.floor(lam) - math.ceil(12.0 * math.sqrt(lam) + 30.0))
+
+
 def _poisson_tail_array(lam, nmax: int, nmin: int = 0) -> np.ndarray:
     """P(X > n) for n = nmin..nmax and X ~ Poisson(lam > 0), relative-accurate in both tails.
 
     Below the mean (n + 1 <= lam) the tail, at least ~0.4 there, is 1 minus the
-    terms from the support's low end lo up to n; from the mean on it is the sum
-    of the terms past n, from the far end min(hi, nmax + 1 + window) down.  Both
-    sums are sequential, so the value at n does not depend on nmin, and on nmax
-    only through terms past the window, below 1e-150 of the sum.  Below lo the
-    tail is 1.0, and from the last term on 0.0.  ``TruncationError`` if a sum
-    needs more than MAX_CUTOFF terms, before any of them is evaluated.
+    terms from _lower_start(lam) up to n; from the mean on it is the sum of the
+    terms past n, from the far end min(hi, nmax + 1 + 20 sqrt(lam) + 60) down.
+    The ranges end where the sums stop seeing terms: below the start the mass
+    is under e^-72, so each tail there is 1.0 and the running sum merges with
+    the one over all k long before 1 minus it could round differently, and the
+    terms past the far end are below about e^-100 of those kept.  So the value
+    at n depends on neither nmin nor, but for such terms, nmax.  From the last
+    term on the tail is 0.0.  Both sums come from one kernel call and are
+    summed in place.  ``TruncationError`` if a sum needs more than MAX_CUTOFF
+    terms, before any of them is evaluated.
 
     A 1-d numpy array of means gives one row per mean, each its own call's
-    array bit for bit.  The rows share one block of terms per sum, over the
-    union of their ranges: from the least mean's lo, and up to the window end
-    of the largest mean whose row reaches the upper sum.  That is exact, as a
-    row's terms outside its own [lo, hi) are 0.0, and a sequential sum that
-    starts with exact zeros is the sum without them.  So a row needs a mask
-    only where its bounds differ from the block's: past its own window end,
-    and at its split n = floor(lam) between the two sums.
+    array bit for bit.  The rows that read the upper sum (lam < nmax + 1) and
+    the others are two calls, so that no row evaluates a sum it never reads.
+    The rows of one call share one block of terms over the union of their
+    ranges, as a row's terms past its own hi are 0.0, and a sequential sum
+    skips exact zeros bit for bit.  So a row is masked only where its bounds
+    differ from the block's: below its own start, past its own far end, and at
+    its split n = floor(lam) between the two sums.
     """
     rows = isinstance(lam, np.ndarray)
     if rows:
-        lam = lam.astype(float)[:, None]
+        lam = lam.astype(float)
+        up = lam < nmax + 1
+        if 0 < np.count_nonzero(up) < lam.size:
+            parts = _poisson_tail_array(lam[up], nmax, nmin), _poisson_tail_array(lam[~up], nmax, nmin)
+            tail = np.empty((lam.size, nmax + 1 - nmin))
+            tail[up], tail[~up] = parts
+            return tail
+        lam = lam[:, None]
         mid = np.clip(np.floor(lam), nmin, nmax + 1)  # clipped before the casts: floor(lam) may pass int64
         split, stop = int(mid.min()), int(mid.max())
-        low = float(lam.min())
-        high = float(lam.max(initial=low, where=lam < nmax + 1))
-        lo, hi = _pmf_support(low)[0], _pmf_support(high)[1]
+        # each row's _lower_start, the same integers in floats below lam = 2^53
+        starts = np.maximum(np.floor(lam) - np.ceil(12.0 * np.sqrt(lam) + 30.0), 0.0)
+        lo, low, high = int(starts.min()), float(lam.min()), float(lam.max())
     else:
         split = stop = min(max(math.floor(lam), nmin), nmax + 1)  # the first n of the upper sum
-        low = high = lam
-        lo, hi = _pmf_support(lam)
-    end = min(hi, nmax + 1 + _tail_window(high))
+        lo, low, high = _lower_start(lam), lam, lam
+    end = min(_pmf_support(high)[1], nmax + 1 + int(20.0 * math.sqrt(high) + 60.0))
     top = min(end - 1, nmax + 1)  # from n = end - 1 on no term is left above n
     first = max(lo, nmin)
-    band = max(stop - lo if first < stop else 0, end - split - 1 if split < top else 0)
+    lower, upper = first < stop, split < top
+    band = max(stop - lo if lower else 0, end - split - 1 if upper else 0)
     if band > MAX_CUTOFF:
-        raise TruncationError(f"P(X > n) at Poisson means up to {np.max(lam):.6g} sums {band} pmf terms, "
+        raise TruncationError(f"P(X > n) at Poisson means up to {high:.6g} sums {band} pmf terms, "
                               f"past the hard cap {MAX_CUTOFF}")
     tail = np.zeros((lam.size, nmax + 1 - nmin) if rows else nmax + 1 - nmin)
     tail[..., : first - nmin] = 1.0
-    if first < stop:
-        cdf = np.cumsum(_pmf_terms(lo, stop, lam), axis=-1)[..., first - lo :]
-        below = 1.0 - np.minimum(cdf, 1.0)
+    if not (lower or upper):
+        return tail
+    base = lo if lower else split + 1
+    terms = _pmf_terms(base, end if upper else stop, lam)
+    if lower:
+        cdf = terms[..., : stop - lo]
+        if rows and starts.max() > lo:  # a row's sum starts at its own start
+            cdf *= np.arange(lo, stop) >= starts
+        # in place, unless a row's upper sum reads terms below the block's stop
+        cdf = np.cumsum(cdf, axis=-1, out=cdf if split == stop else None)[..., first - lo :]
+        np.minimum(cdf, 1.0, out=cdf)
+        np.subtract(1.0, cdf, out=cdf)
         if split < stop:  # a row's lower sum ends at its own split
-            below *= np.arange(first, stop) < mid
-        tail[..., first - nmin : stop - nmin] = below
-    if split < top:
-        terms = _pmf_terms(split + 1, end, lam)
-        if nmax + 1 + _tail_window(low) < end:  # a row's window may end inside the block: _tail_window per row
-            terms *= np.arange(split + 1, end) < nmax + 1 + np.floor(40.0 * np.sqrt(lam) + 60.0)
-        above = np.cumsum(terms[..., ::-1], axis=-1)[..., ::-1][..., : top - split]
+            cdf *= np.arange(first, stop) < mid
+        tail[..., first - nmin : stop - nmin] = cdf
+    if upper:
+        above = terms[..., split + 1 - base :]
+        if nmax + 1 + int(20.0 * math.sqrt(low) + 60.0) < end:  # a row's far end may lie inside the block
+            above *= np.arange(split + 1, end) < nmax + 1 + np.floor(20.0 * np.sqrt(lam) + 60.0)
+        backward = above[..., ::-1]
+        np.cumsum(backward, axis=-1, out=backward)
+        above = above[..., : top - split]
         if split < stop:  # and is read from its own split on; below it += adds 0.0 to the lower sum
             above *= np.arange(split, top) >= mid
         tail[..., split - nmin : top - nmin] += above
@@ -300,7 +335,9 @@ def bounded_f_profile(b: float, tol: float = DEFAULT_TOL, cap: int = MAX_CUTOFF)
 
     Returns ``(values, tail_bound)``, with ``values`` a fresh buffer the caller
     may overwrite.  Shared by the Schmidt-spectrum and the diagonal-distribution
-    constructors so the two stay numerically identical.
+    constructors so the two stay numerically identical.  ``tail_bound`` is 1
+    minus the correctly rounded sum of ``values``, whose head below the lower
+    sum's start, _lower_start(b^2), is 1/b^2 throughout.
     """
     lam = _poisson_mean(b)
     _check_tol(tol)
@@ -318,8 +355,8 @@ def bounded_f_profile(b: float, tol: float = DEFAULT_TOL, cap: int = MAX_CUTOFF)
         if cut <= nmax:
             del csum
             values = f[: cut + 1]
-            # the f(n, b) below the pmf support all equal 1/b^2
-            head = min(_pmf_support(lam)[0], cut + 1, 2**26)
+            # the f(n, b) below the lower sum's start all equal 1/b^2
+            head = min(_lower_start(lam), cut + 1, 2**26)
             return values, max(0.0, 1.0 - _fsum_repeated_head(values, head))
         if nmax < cap:
             raise TruncationError(f"no cutoff for b={b} at tol={tol}: f(n, b) summed up to n = {nmax} is "
@@ -370,8 +407,9 @@ def tmsv_spectrum(r: float, tol: float = DEFAULT_TOL, cap: int = MAX_CUTOFF) -> 
     log_t = _log_tanh(r)
     cut, tail = _geometric_cut(2.0 * log_t, tol, cap, f"r={r}")
     n = np.arange(cut + 1, dtype=float)
-    coeffs = np.exp(n * log_t - _log_cosh(r))
-    return SchmidtSpectrum(coeffs, tail)
+    n *= log_t
+    n -= _log_cosh(r)
+    return SchmidtSpectrum(np.exp(n, out=n), tail)
 
 
 def gmes_spectrum(b: float, tol: float = DEFAULT_TOL, cap: int = MAX_CUTOFF) -> SchmidtSpectrum:
@@ -397,8 +435,10 @@ def mes_overlaps(family: str, value, dims, cap: int = MAX_CUTOFF) -> list:
 
     * "tmsv", value r: (1 - t^N) / ((1 - t) cosh(r) sqrt(N)) with t = tanh(r);
     * "gmes", value b: the prefix sum of sqrt(f(n, b)) over n < N, cut at
-      n = b^2 + 40 b + 60, past which the terms add under 1e-75 of it
-      (``TruncationError`` if that n exceeds ``cap``, whatever N is);
+      n = b^2 + 14 b + 40 (``TruncationError`` if that n exceeds ``cap``,
+      whatever N is).  There P(X > n)/P(X > 0) < 2^-141 by the Chernoff bound,
+      so every later sqrt(f(n, b)) is under half an ulp of the running sum,
+      and the cut sum is the whole one bit for bit;
     * "mes", value M: min(N, M) / sqrt(N M).
 
     A 1-d sequence of r or b gives one such list per value, as its own call would.
@@ -429,7 +469,7 @@ def mes_overlaps(family: str, value, dims, cap: int = MAX_CUTOFF) -> list:
         overlaps = np.empty((len(radii), n.size))
         for row, b in zip(overlaps, radii):
             lam = _poisson_mean(b)
-            nmax = int(lam + _tail_window(lam))
+            nmax = int(lam + 14.0 * math.sqrt(lam) + 40.0)
             if nmax > cap:
                 raise TruncationError(f"overlap sum for b={b} needs {nmax} terms, past the hard cap {cap}")
             # an overlap with MES_N reads no tail past n = N - 1

@@ -294,6 +294,23 @@ def test_fig1_makes_one_tail_array_call(capsys, monkeypatch):
     assert calls == [((200,), 2, 0)]
 
 
+def test_fig1_kernel_terms_only_for_the_sums_read(capsys, monkeypatch):
+    # 26,800 terms when every row's block also ran the upper sum: the rows with
+    # 2 nbar >= 3 never read it, and the lower sums start 12 sqrt(lam) + 30 below the mean
+    terms = []
+    pmf_terms = gmeslab.states._pmf_terms
+
+    def count_terms(start, stop, lam):
+        out = pmf_terms(start, stop, lam)
+        terms.append(out.size)
+        return out
+
+    monkeypatch.setattr(gmeslab.states, "_pmf_terms", count_terms)
+    code, out, _ = run(capsys, "fig1")
+    assert code == 0
+    assert len(terms) == 2 and sum(terms) <= 12_000
+
+
 def test_fig1_means_past_the_int64_range(capsys):
     # floor(2 nbar) passes int64 at every point, so the kernel clips each row's
     # bounds before any integer cast: a cast would warn, an error under this
@@ -540,8 +557,9 @@ def test_fig2_a_sums_to_the_largest_dimension_from_the_table(capsys, monkeypatch
     code, out, _ = run(capsys, "fig2", "--variant", "a")
     assert code == 0
     assert len(rows_of(out)[1]) == 300
-    # 470,376 terms when every sum ran to b^2 + 40 b + 60
-    assert 0 < terms["kernel"] <= 412_000
+    # 470,376 terms when every sum ran to b^2 + 40 b + 60, 325,403 on the whole
+    # support, and 229,986 with the sums cut where they stop seeing terms
+    assert 0 < terms["kernel"] <= 230_000
     assert terms["gammaln"] == 0
 
 

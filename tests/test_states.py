@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln, pdtrc
+from scipy.special import gammaln, pdtr, pdtrc
 
 from gmeslab import states
 from gmeslab import (
@@ -26,6 +26,7 @@ from gmeslab import (
     TwoModeFock,
     f_coefficient,
     gmes_spectrum,
+    gmms_distribution,
     fidelity,
     mean_photon,
     mes_overlaps,
@@ -126,6 +127,64 @@ def test_poisson_tail_refuses_a_band_past_the_cap(n, lam):
     assert lo < math.floor(lam) < hi
     assert poisson_tail(lo - 1, lam) == 1.0
     assert poisson_tail(hi - 1, lam) == 0.0
+
+
+# Bisected limits of a sum's length: floor(20 sqrt(lam) + 60) terms at and past
+# the mean, ceil(12 sqrt(lam) + 30) below it, each at most MAX_CUTOFF.
+UPPER_LIMIT = (99941008.70249996, 99941008.70249997)
+LOWER_LIMIT = (277694450.69444454, 277694450.6944446)
+
+
+def test_poisson_tail_domain_ends_near_1e8():
+    # admitted up to 2.67e7 when the sums ran over the whole support.  Past
+    # 1e7 k log lam rounds by ~1e-7 of a term (1.3e-7 against an mpmath sum
+    # at lam = 9.99e7); pdtrc holds near the mean, though not 10 standard
+    # deviations out (1e-1 off there at 9.99e7)
+    below, above = UPPER_LIMIT
+    n = math.floor(below)
+    assert poisson_tail(n, below) == pytest.approx(pdtrc(n, below), rel=2e-7)
+    with pytest.raises(TruncationError, match="sums 200001 pmf terms"):
+        poisson_tail(math.floor(above), above)
+    assert poisson_tail(n - 1, above) == pytest.approx(pdtrc(n - 1, above), rel=2e-7)
+    # below the mean, up to 2.78e8
+    below, above = LOWER_LIMIT
+    n = math.floor(below) - 1
+    assert poisson_tail(n, below) == pytest.approx(pdtrc(n, below), rel=1e-6)
+    with pytest.raises(TruncationError, match="sums 200001 pmf terms"):
+        poisson_tail(math.floor(above) - 1, above)
+    # an n below the start of the lower sum needs no term at any mean
+    assert poisson_tail(states._lower_start(above) - 1, above) == 1.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.floats(1e-6, 1e6))
+@example(207.0)  # the lower sum starts above 0 from here on
+@example(1e6)
+def test_sums_cut_where_they_stop_seeing_terms(lam):
+    # below the start of the lower sum the mass is under e^-72: each tail there
+    # rounds to 1.0, and the cumulative sum merges with the one over all k long
+    # before 1 minus it could round differently
+    start = states._lower_start(lam)
+    assert start == 0 or pdtr(start - 1, lam) < math.exp(-72.0)
+    # past mes_overlaps' cut every sqrt(f(n, b)) is under half an ulp of the running sum
+    n = int(lam + 14.0 * math.sqrt(lam) + 40.0)
+    assert pdtrc(n, lam) < 2.0**-141 * pdtrc(0, lam)
+
+
+@pytest.mark.parametrize("b", [0.5, 15.0, 350.0])
+@pytest.mark.parametrize("build", [gmes_spectrum, gmms_distribution])
+def test_one_pmf_support_call_per_profile(monkeypatch, build, b):
+    # the fsum head comes from the lower sum's start, not from a second support
+    calls = []
+    support = states._pmf_support
+
+    def spy(lam):
+        calls.append(lam)
+        return support(lam)
+
+    monkeypatch.setattr(states, "_pmf_support", spy)
+    build(b)
+    assert calls == [b * b]
 
 
 def test_poisson_tail_edges():
@@ -376,7 +435,7 @@ def test_pmf_support_at_the_top_of_the_float_range():
 def test_split_fsum_equals_fsum(b):
     lam = b * b
     f = states._poisson_tail_array(lam, int(lam + 12.0 * b + 30.0)) / lam
-    head = states._pmf_support(lam)[0]
+    head = states._lower_start(lam)
     assert head > 0 and np.all(f[:head] == f[0])
     for size in (head, head + 1, head + 1000, f.size):
         values = f[:size]
@@ -392,15 +451,21 @@ def test_the_kernel_runs_on_the_support_only(monkeypatch):
 
     monkeypatch.setattr(states, "gammaln", spy)
     gmes_spectrum(350.0)
-    # every k up to the cutoff plus the window would be 140,791 terms
-    assert 0 < sum(terms) <= 30_000
-    # a scalar tail below the mean starts its window 70 sqrt(lam) below the
-    # mean, and the support 38.7 sqrt(lam) below it
+    # every k up to the cutoff plus the window would be 140,791 terms, and the
+    # support alone 27,295: the sums start 12 sqrt(lam) + 30 below the mean and
+    # end 20 sqrt(lam) + 60 past the profile's last n, 15,521 terms in one call
+    assert terms == [15_521]
+    # a scalar tail below the mean starts its sum 12 sqrt(lam) + 30 below the
+    # mean, where the support starts 38.7 sqrt(lam) below it
     terms.clear()
     lam = 1.6e5
-    n = int(lam - 30.0 * math.sqrt(lam))
+    n = int(lam - 10.0 * math.sqrt(lam))
     poisson_tail(n, lam)
-    assert terms == [n + 1 - states._pmf_support(lam)[0]]
+    assert terms == [n + 1 - states._lower_start(lam)] == [831]
+    # and further below no term is evaluated: the tail is 1.0
+    terms.clear()
+    assert poisson_tail(int(lam - 30.0 * math.sqrt(lam)), lam) == 1.0
+    assert terms == []
     # a tail array that ends below the support evaluates no term at all
     terms.clear()
     assert np.array_equal(states._poisson_tail_array(1e4, 1500), np.ones(1501))
@@ -505,6 +570,28 @@ def test_tmsv_extreme_squeezing():
     # tanh(400) rounds to 1, so the cutoff is unbounded
     with pytest.raises(TruncationError):
         tmsv_spectrum(400.0)
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 5.0, 5.02])
+def test_tmsv_coefficients_are_the_one_expression(r):
+    # built in place, the coefficients keep the bits of exp(n log tanh r - log cosh r)
+    s = tmsv_spectrum(r)
+    n = np.arange(len(s), dtype=float)
+    want = np.exp(n * states._log_tanh(r) - states._log_cosh(r))
+    assert np.array_equal(bits(s.coeffs), bits(want))
+
+
+def test_tmsv_spectrum_holds_one_coefficient_array():
+    # 152,153 coefficients at r = 5, built in one array: the peak holds it and
+    # the checks' boolean masks, an eighth of it each, and no float temporary
+    size = len(tmsv_spectrum(5.0)) * 8
+    tracemalloc.start()
+    try:
+        tmsv_spectrum(5.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * size
 
 
 def test_tmsv_mean_photon():
@@ -785,6 +872,9 @@ def full_length_overlaps(b, dims):
 @example(45.0, [1, 2025, 2025 + 1860, 2025 + 1861, 2025 + 1862, 10**9])  # N at and past nmax + 1
 @example(0.5, [])
 @example(30.0, [5, 20, 200, 1000])  # fig2 a at its defaults
+# past the cut at b^2 + 14 b + 40 (42,840 and 182,320), up to b^2 + 40 b + 60 and beyond
+@example(200.0, [1, 40_000, 42_840, 42_841, 42_842, 48_060, 48_061, 10**9])
+@example(420.0, [1, 176_400, 182_320, 182_321, 182_322, 193_260, 193_261, 10**9])
 def test_mes_overlaps_sum_only_to_the_largest_dimension(b, dims):
     # an overlap with MES_N reads no tail past n = N - 1, and the tails it
     # does read are the full-length array's, bit for bit
