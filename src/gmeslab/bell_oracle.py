@@ -57,8 +57,8 @@ _NEXT.setflags(write=False)
 _DEFAULT_RESTARTS = 32
 _TOL = 1e-12  # relative gain of a sweep at which a restart stops
 _MAX_SWEEPS = 5000
-# Most restarts; each one holds its own generator and array rows, so more
-# than this is taken for a typo, not a request.
+# Most restarts; each one costs only a row of six phases in every array of
+# the search, so more than this is taken for a typo, not a request.
 _MAX_RESTARTS = 10_000
 
 
@@ -120,9 +120,10 @@ def _exact_move(terms: np.ndarray, coord: int) -> np.ndarray:
 def maximize_bell(q: QutritState, restarts: int = _DEFAULT_RESTARTS, seed: int = 0) -> BellResult:
     """Multi-start exact coordinate ascent over the parties' local reference phases.
 
-    Each restart starts from phases drawn with an independent seed sequence
-    (seed, restart index), so results are deterministic for a fixed seed and
-    monotone nondecreasing when ``restarts`` grows with the same seed.  A
+    Restart i starts from row i of one uniform stream seeded by ``seed``.  A
+    stream's first rows do not depend on how many are drawn and restarts never
+    interact, so results are deterministic for a fixed seed and monotone
+    nondecreasing when ``restarts`` grows with the same seed.  A
     sweep moves party A's three phases, then party B's, each to the exact
     maximizer of the Bell value along it.  A restart stops on the first sweep
     that raises its value by at most ``_TOL * |value|`` and is frozen from
@@ -144,8 +145,7 @@ def maximize_bell(q: QutritState, restarts: int = _DEFAULT_RESTARTS, seed: int =
     restarts = check_integer(restarts, "restarts", 1, _MAX_RESTARTS)
     seed = check_integer(seed, "seed", 0)
 
-    rngs = (np.random.default_rng([seed, i]) for i in range(restarts))
-    phases = np.stack([rng.uniform(-np.pi, np.pi, size=6) for rng in rngs])
+    phases = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=(restarts, 6))
     pair = _LINK_WEIGHTS * q.a * q.a[_NEXT]
     value = _phase_bell(q, phases)
     active = np.ones(restarts, dtype=bool)

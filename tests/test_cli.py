@@ -206,6 +206,34 @@ def test_fidelity_mes_target_is_exact(capsys):
     assert out.splitlines()[1].endswith(",0.5")
 
 
+# <GMES_15|TMSV_1> = sum_n sqrt(P(X > n)) t^n / (b cosh r), X ~ Poisson(b^2),
+# t = tanh(r), b = 15, r = 1, summed at 30 digits
+GMES_15_TMSV_1 = 0.181218788563936
+
+
+def test_gmes_tmsv_overlap_reference():
+    # the terms past n = 400 are below tanh(1)^400 ~ 1e-47
+    with mpmath.workdps(30):
+        b, r = mpmath.mpf(15), mpmath.mpf(1)
+        t = mpmath.tanh(r)
+        want = mpmath.fsum(
+            mpmath.sqrt(mpmath.gammainc(n + 1, 0, b * b, regularized=True)) * t**n for n in range(400)
+        ) / (b * mpmath.cosh(r))
+    assert float(want) == pytest.approx(GMES_15_TMSV_1, rel=1e-14)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="F-fid: the dot product of two spectra each truncated at tol loses up to "
+    "about sqrt(tol) of the overlap; prints 0.181218620255, 9.3e-7 relative off",
+)
+def test_fidelity_of_two_truncated_families_is_exact(capsys):
+    code, out, _ = run(capsys, "fidelity", "gmes:b=15", "tmsv:r=1")
+    assert code == 0
+    assert float(rows_of(out)[1][0][2]) == pytest.approx(GMES_15_TMSV_1, rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "spec",
     [
