@@ -330,14 +330,37 @@ def _fsum_repeated_head(values: np.ndarray, head: int) -> float:
     return math.fsum(terms)
 
 
+def _repeated_sum(v: float, count: int, reach: float = math.inf) -> tuple[float, int]:
+    """(np.cumsum(np.full(count, v))[k - 1], k) bit for bit, k = count or the first count whose sum reaches ``reach``.
+
+    For v > 0 and count < 2^52, in about two steps a binade.  Inside a binade a
+    step adds v rounded to its ulp u, the same multiple of u from every sum but
+    at a tie, which rounds to the even sum; so once a step stays in the binade,
+    every later one there adds the same d, and the walk jumps to the last sum
+    below the binade's top 2^53 u, and below ``reach``, at once.
+    """
+    s, k, u_s = 0.0, 0, 0.0
+    while k < count and s < reach:
+        t = s + v
+        k += 1
+        u = math.ulp(t)
+        if u == u_s and t < reach:
+            d = (t + v) - t
+            jump = min(count - k, -int((t - min(reach, u * 2.0**53)) // d) - 1)
+            k, t = k + jump, t + jump * d
+        s, u_s = t, u
+    return s, k
+
+
 def bounded_f_profile(b: float, tol: float = DEFAULT_TOL, cap: int = MAX_CUTOFF):
     """f(n, b) for n = 0..M with M the first index where the mass reaches 1 - tol.
 
     Returns ``(values, tail_bound)``, with ``values`` a fresh buffer the caller
     may overwrite.  Shared by the Schmidt-spectrum and the diagonal-distribution
-    constructors so the two stay numerically identical.  ``tail_bound`` is 1
-    minus the correctly rounded sum of ``values``, whose head below the lower
-    sum's start, _lower_start(b^2), is 1/b^2 throughout.
+    constructors so the two stay numerically identical.  The f(n, b) below
+    h = _lower_start(b^2) all equal 1/b^2: that head is a fill, its running sum
+    comes from _repeated_sum, and the tail array runs on the window past it only.
+    ``tail_bound`` is 1 minus the correctly rounded sum of ``values``.
     """
     lam = _poisson_mean(b)
     _check_tol(tol)
@@ -346,17 +369,21 @@ def bounded_f_profile(b: float, tol: float = DEFAULT_TOL, cap: int = MAX_CUTOFF)
     # each f(n, b) is below 1/b^2, so no cutoff within the cap exists when
     # (cap + 1)/b^2 < 1 - tol; that is known before any array is built
     if (cap + 1) / lam >= 1.0 - tol:
+        head = min(_lower_start(lam), nmax + 1)  # <= cap + 1 < 2^26, as _fsum_repeated_head needs
+        carry, count = _repeated_sum(1.0 / lam, head, 1.0 - tol)
+        if carry >= 1.0 - tol:  # the cut lies inside the head
+            values = np.full(count, 1.0 / lam)
+            return values, max(0.0, 1.0 - _fsum_repeated_head(values, count))
         # one pass: the f(n, b) past lam + 12 sqrt(lam) + 30 sum to at most 7.4e-37,
         # below half an ulp of csum near 1 - tol, so no longer profile moves the cut
-        f = _poisson_tail_array(lam, nmax)
+        f = _poisson_tail_array(lam, nmax, head)
         f /= lam
-        csum = np.cumsum(f)
-        cut = int(np.searchsorted(csum, 1.0 - tol))
-        if cut <= nmax:
-            del csum
-            values = f[: cut + 1]
-            # the f(n, b) below the lower sum's start all equal 1/b^2
-            head = min(_lower_start(lam), cut + 1, 2**26)
+        csum = np.cumsum(np.concatenate(([carry], f)))  # csum[i] sums the first head + i values
+        count = head + int(np.searchsorted(csum, 1.0 - tol))
+        if count <= nmax + 1:
+            values = np.empty(count)
+            values[:head] = 1.0 / lam
+            values[head:] = f[: count - head]
             return values, max(0.0, 1.0 - _fsum_repeated_head(values, head))
         if nmax < cap:
             raise TruncationError(f"no cutoff for b={b} at tol={tol}: f(n, b) summed up to n = {nmax} is "

@@ -713,9 +713,9 @@ def test_f_profile_is_one_pass(monkeypatch, b, tol, cap):
     calls = []
     tail_array = states._poisson_tail_array
 
-    def spy(lam, nmax):
+    def spy(lam, nmax, nmin=0):
         calls.append(nmax)
-        return tail_array(lam, nmax)
+        return tail_array(lam, nmax, nmin)
 
     monkeypatch.setattr(states, "_poisson_tail_array", spy)
     nmax = min(int(b * b + 12.0 * b + 30.0), cap)
@@ -727,6 +727,99 @@ def test_f_profile_is_one_pass(monkeypatch, b, tol, cap):
         assert ("hard cap" in str(exc)) == (nmax == cap)
         assert nmax == cap or f"summed up to n = {nmax} is " in str(exc)
     assert calls == [nmax]
+
+
+# a repeated v: 1/lam, as in the GMES head, or 2^e (a + m 2^-j) with a of at
+# most 8 bits and m odd: its last bit 2^(e - j) is half the ulp of the running
+# sums in [2^(e - j + 53), 2^(e - j + 54)), about 2^(53 - j)/a steps on, so
+# every step there is a tie, which rounds by the sum's last bit
+REPEATED_V = st.one_of(
+    st.floats(1.0, 4e5).map(lambda lam: 1.0 / lam),
+    st.builds(lambda a, m, j, e: math.ldexp(a + math.ldexp(2 * m + 1, -j), e),
+              st.integers(1, 255), st.integers(0, 7), st.integers(36, 52), st.integers(-40, 4)),
+)
+
+
+@given(REPEATED_V, st.integers(0, 2**18))
+@example(1.0 / 350.0**2, 118_270)  # the head of gmes_spectrum(350)
+# ties from an odd sum at the binade's first step, whose increment differs from the later ones
+@example(math.ldexp(224 + 2.0**-36, -10), 88_112)
+@example(math.ldexp(134 + 5 * 2.0**-37, -17), 257_411)
+@example(0.1, 0)
+def test_repeated_sum_is_the_forward_sum(v, count):
+    sums = np.cumsum(np.full(count, v))
+    total, k = states._repeated_sum(v, count)
+    assert total.hex() == float(sums[-1] if count else 0.0).hex()
+    assert k == count
+
+
+@given(REPEATED_V, st.integers(1, 2**16), st.floats(0.0, 1.0))
+def test_repeated_sum_stops_where_the_running_sum_reaches(v, count, where):
+    # the first count whose sum is at least ``reach``: a partial sum itself, or a float beside it
+    sums = np.cumsum(np.full(count, v))
+    reach = float(sums[int(where * (count - 1))])
+    for target in (reach, math.nextafter(reach, 0.0), math.nextafter(reach, math.inf)):
+        k = min(int(np.searchsorted(sums, target)) + 1, count)
+        total, got = states._repeated_sum(v, count, target)
+        assert (total.hex(), got) == (float(sums[k - 1]).hex(), k)
+
+
+def full_profile(b, tol, cap):
+    """bounded_f_profile as a forward cumsum over the whole tail array: the windowed profile's oracle."""
+    lam = b * b
+    nmax = min(int(lam + 12.0 * math.sqrt(lam) + 30.0), cap)
+    if (cap + 1) / lam >= 1.0 - tol:
+        f = states._poisson_tail_array(lam, nmax)
+        f /= lam
+        csum = np.cumsum(f)
+        cut = int(np.searchsorted(csum, 1.0 - tol))
+        if cut <= nmax:
+            values = f[: cut + 1]
+            head = min(states._lower_start(lam), cut + 1, 2**26)
+            return values, max(0.0, 1.0 - states._fsum_repeated_head(values, head))
+        if nmax < cap:
+            raise TruncationError(f"no cutoff for b={b} at tol={tol}: f(n, b) summed up to n = {nmax} is "
+                                  f"{float(csum[-1])!r} < 1 - tol, short by rounding, as the rest is below 7.4e-37")
+    raise TruncationError(f"cutoff for b={b} at tol={tol} exceeds the hard cap {cap}")
+
+
+# seeded radii over (0, 430], half of them log-uniform, and four fixed ones: the cut
+# lies inside the repeated head at tol 0.3 for b = 56.81 and 382.5, and the running
+# sum stays below 1 - tol short of the cap at tol 1e-12 for b = 300 and 400
+_radii = np.random.default_rng(2718)
+PROFILE_RADII = sorted([*(430.0 - _radii.uniform(0.0, 430.0, 12)).tolist(),
+                        *np.exp(_radii.uniform(math.log(0.01), math.log(430.0), 12)).tolist(),
+                        56.81, 300.0, 382.5, 400.0])
+
+
+@pytest.mark.parametrize("cap", [states.MAX_CUTOFF, 5000])
+@pytest.mark.parametrize("tol", [1e-12, 1e-6, 0.3, 0.5])
+def test_f_profile_is_the_full_forward_sum(tol, cap):
+    for b in PROFILE_RADII:
+        try:
+            want = full_profile(b, tol, cap)
+        except TruncationError as exc:
+            with pytest.raises(TruncationError) as got:
+                states.bounded_f_profile(b, tol, cap)
+            assert str(got.value) == str(exc), b
+            continue
+        values, tail = states.bounded_f_profile(b, tol, cap)
+        assert values.tobytes() == want[0].tobytes(), b
+        assert tail.hex() == want[1].hex(), b
+
+
+def test_gmes_spectrum_holds_one_coefficient_array():
+    # 124,488 coefficients at b = 350, of which the first 118,270 are a fill:
+    # the peak holds them, the checks' boolean masks, an eighth each, and the
+    # tail array over the window past the fill, not a second full profile
+    size = gmes_spectrum(350.0).coeffs.nbytes
+    tracemalloc.start()
+    try:
+        gmes_spectrum(350.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * size
 
 
 # ---------------------------------------------------------------------------
