@@ -37,7 +37,7 @@ class NumberDistribution:
         object.__setattr__(self, "probs", probs)
         if probs.ndim != 1 or probs.size == 0:
             raise DomainError("probs must be a nonempty 1-d vector")
-        if np.any(probs < 0.0):
+        if not probs.min() >= 0.0 and np.any(probs < 0.0):  # min is nan if any value is
             raise DomainError("probabilities must be nonnegative")
         _check_mass(probs, float(probs.sum()), self.tail_bound)
 
@@ -67,8 +67,9 @@ def thermal_distribution(nbar: float, tol: float = DEFAULT_TOL) -> NumberDistrib
     log_q = -math.log1p(1.0 / nbar) if nbar >= 1.0 else math.log(nbar) - math.log1p(nbar)
     cut, tail = _geometric_cut(log_q, tol, MAX_CUTOFF, f"nbar={nbar}")
     n = np.arange(cut + 1, dtype=float)
-    probs = np.exp(n * log_q - math.log1p(nbar))
-    return NumberDistribution(probs, tail)
+    n *= log_q
+    n -= math.log1p(nbar)
+    return NumberDistribution(np.exp(n, out=n), tail)
 
 
 def purify(d) -> SchmidtSpectrum:

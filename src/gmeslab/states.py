@@ -14,6 +14,7 @@ result as ``tail_bound``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import sys
@@ -35,8 +36,11 @@ _NORM_SLACK = 1e-9
 
 
 def _check_mass(values: np.ndarray, mass: float, tail: float) -> None:
-    """Truncation contract of every stored state: finite values, tail in [0, 1], 1 - tail <= mass <= 1."""
-    if not np.all(np.isfinite(values)):
+    """Truncation contract of every stored state: finite values, tail in [0, 1], 1 - tail <= mass <= 1.
+
+    ``mass``, the dot, sum or vdot of ``values``, is inf or nan if any value is: only such a mass scans them.
+    """
+    if not math.isfinite(mass) and not np.all(np.isfinite(values)):
         raise DomainError("values must be finite")
     if not (0.0 <= tail <= 1.0):
         raise DomainError(f"tail bound {tail} outside [0, 1]")
@@ -51,7 +55,8 @@ class SchmidtSpectrum:
     """Truncated Schmidt coefficients c_n of a two-mode state sum_n c_n |n>|n>.
 
     ``coeffs`` are real and nonnegative; ``tail_bound`` bounds the squared-norm
-    mass beyond the stored cutoff, so 1 - tail_bound <= sum c_n^2 <= 1.
+    mass beyond the stored cutoff, so 1 - tail_bound <= sum c_n^2 <= 1.  The
+    checks take two passes, a min (nan if any value is) and the dot.
     """
 
     coeffs: np.ndarray
@@ -62,7 +67,7 @@ class SchmidtSpectrum:
         object.__setattr__(self, "coeffs", coeffs)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise DomainError("coeffs must be a nonempty 1-d vector")
-        if np.any(coeffs < 0.0):
+        if not coeffs.min() >= 0.0 and np.any(coeffs < 0.0):
             raise DomainError("coeffs must be nonnegative")
         _check_mass(coeffs, float(np.dot(coeffs, coeffs)), self.tail_bound)
 
@@ -319,15 +324,16 @@ def _fsum_repeated_head(values: np.ndarray, head: int) -> float:
 
     The head enters as head*v_hi + head*v_lo from a Veltkamp split of
     v = values[0] into two halves of at most 26 bits.  Both products are exact,
-    so the correctly rounded sum is the same, from len(values) - head + 2 terms.
+    so the correctly rounded sum is the same, from len(values) - head + 2 terms,
+    the window read in place through a memoryview.
     """
-    terms = values[head:].tolist()
+    products = ()
     if head:
         v = float(values[0])
         scaled = 134217729.0 * v  # (2^27 + 1) v
         v_hi = scaled - (scaled - v)
-        terms += (head * v_hi, head * (v - v_hi))
-    return math.fsum(terms)
+        products = (head * v_hi, head * (v - v_hi))
+    return math.fsum(itertools.chain(memoryview(values[head:]), products))
 
 
 def _repeated_sum(v: float, count: int, reach: float = math.inf) -> tuple[float, int]:
@@ -442,7 +448,12 @@ def tmsv_spectrum(r: float, tol: float = DEFAULT_TOL, cap: int = MAX_CUTOFF) -> 
 def gmes_spectrum(b: float, tol: float = DEFAULT_TOL, cap: int = MAX_CUTOFF) -> SchmidtSpectrum:
     """Schmidt spectrum of the Gaussian maximally entangled state, c_n = sqrt(f(n, b))."""
     values, tail = bounded_f_profile(b, tol, cap)
-    return SchmidtSpectrum(np.sqrt(values, out=values), tail)
+    # the head, every f(n, b) = 1/b^2, is a fill at its correctly rounded root: only the window takes np.sqrt
+    lam = _poisson_mean(b)
+    head = min(_lower_start(lam), values.size)
+    values[:head] = math.sqrt(1.0 / lam)
+    np.sqrt(values[head:], out=values[head:])
+    return SchmidtSpectrum(values, tail)
 
 
 def mes_spectrum(N: int) -> SchmidtSpectrum:

@@ -1,6 +1,7 @@
 """Bounded-mixture number distribution, thermal comparison and purification."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,27 @@ def test_thermal_geometric_form(nbar):
     np.testing.assert_allclose(d.probs, want, rtol=1e-12)
     mean = float(np.dot(n, d.probs))
     assert mean == pytest.approx(nbar, abs=1e-9 * (1.0 + nbar))
+
+
+def test_thermal_is_the_one_expression():
+    # built in place, the weights keep the bits of exp(n log q - log1p(nbar))
+    for nbar in np.exp(np.random.default_rng(5000).uniform(math.log(1e-6), math.log(7000.0), 40)).tolist():
+        d = thermal_distribution(nbar)
+        log_q = -math.log1p(1.0 / nbar) if nbar >= 1.0 else math.log(nbar) - math.log1p(nbar)
+        want = np.exp(np.arange(len(d), dtype=float) * log_q - math.log1p(nbar))
+        assert d.probs.tobytes() == want.tobytes(), nbar
+
+
+def test_thermal_holds_one_weight_array():
+    # 138,169 weights at nbar = 5000, built in one array with no float temporary
+    size = thermal_distribution(5000.0).probs.nbytes
+    tracemalloc.start()
+    try:
+        thermal_distribution(5000.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.05 * size
 
 
 def test_thermal_errors():

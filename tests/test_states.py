@@ -582,8 +582,8 @@ def test_tmsv_coefficients_are_the_one_expression(r):
 
 
 def test_tmsv_spectrum_holds_one_coefficient_array():
-    # 152,153 coefficients at r = 5, built in one array: the peak holds it and
-    # the checks' boolean masks, an eighth of it each, and no float temporary
+    # 152,153 coefficients at r = 5, built in one array: the checks' min and
+    # dot allocate nothing, so the peak holds that array and no temporary
     size = len(tmsv_spectrum(5.0)) * 8
     tracemalloc.start()
     try:
@@ -591,7 +591,7 @@ def test_tmsv_spectrum_holds_one_coefficient_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * size
+    assert peak < 1.05 * size
 
 
 def test_tmsv_mean_photon():
@@ -810,8 +810,8 @@ def test_f_profile_is_the_full_forward_sum(tol, cap):
 
 def test_gmes_spectrum_holds_one_coefficient_array():
     # 124,488 coefficients at b = 350, of which the first 118,270 are a fill:
-    # the peak holds them, the checks' boolean masks, an eighth each, and the
-    # tail array over the window past the fill, not a second full profile
+    # the peak holds them and the tail array over the window past the fill,
+    # not a second full profile
     size = gmes_spectrum(350.0).coeffs.nbytes
     tracemalloc.start()
     try:
@@ -819,7 +819,36 @@ def test_gmes_spectrum_holds_one_coefficient_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * size
+    assert peak < 1.2 * size
+
+
+@pytest.mark.parametrize("cap", [states.MAX_CUTOFF, 5000])
+@pytest.mark.parametrize("tol", [1e-12, 0.3])
+def test_gmes_coeffs_are_the_profile_roots(tol, cap):
+    # the head is a fill at sqrt(1/b^2), the window goes through np.sqrt: every
+    # coefficient is np.sqrt of its f(n, b) bit for bit.  b = 3 has no head
+    # (_lower_start(9) = 0); at tol 0.3 the cut lies inside the head for
+    # b = 56.81 and 382.5, so there the whole buffer is the fill
+    for b in [3.0, *PROFILE_RADII]:
+        try:
+            values, tail = states.bounded_f_profile(b, tol, cap)
+        except TruncationError as exc:
+            with pytest.raises(TruncationError) as got:
+                gmes_spectrum(b, tol, cap)
+            assert str(got.value) == str(exc), b
+            continue
+        s = gmes_spectrum(b, tol, cap)
+        assert s.coeffs.tobytes() == np.sqrt(values).tobytes(), b
+        assert s.tail_bound.hex() == tail.hex(), b
+
+
+@given(st.floats(1e-12, 1.0), st.integers(0, 2**16), st.lists(st.floats(0.0, 1.0), max_size=300))
+@example(1.0 / 350.0**2, 118_270, [])  # a buffer that is all head, as where the cut lies inside it
+@example(0.5, 0, [0.5, 0.25, 5e-324, 0.0])  # no head
+@example(0.1, 3, [0.1, 1e-17, 1e-17])
+def test_fsum_repeated_head_is_the_full_fsum(v, head, window):
+    values = np.concatenate((np.full(head, v), window))
+    assert states._fsum_repeated_head(values, head).hex() == math.fsum(values.tolist()).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -832,6 +861,18 @@ def test_mes_examples():
     np.testing.assert_allclose(mes_spectrum(4).coeffs, [0.5, 0.5, 0.5, 0.5])
     np.testing.assert_allclose(mes_spectrum(3).coeffs, np.full(3, 1.0 / math.sqrt(3.0)))
     assert mes_spectrum(3).tail_bound == 0.0
+
+
+def test_mes_spectrum_holds_one_coefficient_array():
+    # np.full and checks that allocate nothing: the peak is the spectrum itself
+    size = mes_spectrum(72900).coeffs.nbytes
+    tracemalloc.start()
+    try:
+        mes_spectrum(72900)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.05 * size
 
 
 def test_mes_mean_photon():
@@ -1132,6 +1173,84 @@ def test_mass_contract(kind, mass, tail):
         build(mass, tail)
     for mass, tail in ((1.0, 0.0), (0.5, 0.5), (0.0, 1.0), (1.0 + 0.5 * states._NORM_SLACK, 0.0)):
         build(mass, tail)
+
+
+def three_pass_checks(kind, values, tail):
+    """The stored-state checks as three passes (negative, finite, mass): the constructors' error oracle."""
+    if kind in ("SchmidtSpectrum", "NumberDistribution") and np.any(values < 0.0):
+        raise DomainError("coeffs must be nonnegative" if kind == "SchmidtSpectrum"
+                          else "probabilities must be nonnegative")
+    if kind == "SchmidtSpectrum":
+        mass = float(np.dot(values, values))
+    elif kind == "NumberDistribution":
+        mass = float(values.sum())
+    else:
+        mass = float(np.vdot(values, values).real)
+    if not np.all(np.isfinite(values)):
+        raise DomainError("values must be finite")
+    if not (0.0 <= tail <= 1.0):
+        raise DomainError(f"tail bound {tail} outside [0, 1]")
+    if mass > 1.0 + states._NORM_SLACK:
+        raise DomainError(f"mass {mass} exceeds 1")
+    if mass < 1.0 - tail - states._NORM_SLACK:
+        raise DomainError(f"mass {mass} below 1 - tail bound = {1.0 - tail}")
+
+
+def outcome(call):
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# finite values, -0.0, negatives, +-inf, nan, subnormals, and squares whose sum overflows the mass
+CHECK_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 0.6, 0.8, 1.0, -1.0, 5e-324, -5e-324, 1e-310, 1e200, -1e200, 1.7e308,
+                     math.inf, -math.inf, math.nan]),
+    st.floats(),
+)
+CHECK_TAILS = st.one_of(st.sampled_from([0.0, -0.0, 0.36, 1.0, -0.1, 1.1, math.inf, math.nan]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(CONTRACT_STATES)), st.lists(CHECK_VALUES, min_size=1, max_size=9),
+       st.lists(CHECK_VALUES, min_size=9, max_size=9), st.booleans(), CHECK_TAILS)
+@example("SchmidtSpectrum", [1e200, 1e200], [0.0] * 9, False, 0.0)  # finite values, an overflowed mass
+@example("NumberDistribution", [1.7e308, 1.7e308], [0.0] * 9, False, 0.0)
+@example("FockVector", [1e200, 0.0], [1e200] * 9, True, 0.0)
+@example("SchmidtSpectrum", [math.nan, -1.0], [0.0] * 9, False, 0.0)  # a negative before a nan
+@example("SchmidtSpectrum", [-0.0, 0.6, 0.8], [0.0] * 9, False, 0.0)  # valid: -0.0 is not negative
+@example("TwoModeFock", [0.6, 0.0, 0.0, 0.8], [0.0, math.inf, 0.0, 0.0], True, 0.0)
+@example("FockVector", [0.6, 0.8], [math.nan, 0.0], True, math.nan)
+def test_stored_state_errors_match_three_pass_checks(kind, real, imag, use_imag, tail):
+    # every input raises what the three-pass checks raise, the same type and message
+    values = np.array(real)
+    if kind in ("FockVector", "TwoModeFock") and use_imag:
+        values = np.array([complex(x, y) for x, y in zip(real, imag)])
+    if kind == "TwoModeFock":
+        side = math.isqrt(values.size)
+        values = values[: side * side].reshape(side, side)
+    build = {
+        "SchmidtSpectrum": lambda: SchmidtSpectrum(values, tail),
+        "NumberDistribution": lambda: NumberDistribution(values, tail),
+        "FockVector": lambda: FockVector(values, values.size - 1, tail),
+        "TwoModeFock": lambda: TwoModeFock(values, values.shape[0] - 1, tail),
+    }[kind]
+    want = values.astype(complex) if kind in ("FockVector", "TwoModeFock") else values
+    assert outcome(build) == outcome(lambda: three_pass_checks(kind, want, tail))
+
+
+def test_valid_spectrum_scans_no_value_for_finiteness(monkeypatch):
+    # a finite mass has finite values: only an inf or nan mass runs np.isfinite
+    calls = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda *args, **kwargs: calls.append(args) or isfinite(*args, **kwargs))
+    SchmidtSpectrum(np.full(4, 0.5), 0.0)
+    assert calls == []
+    with pytest.raises(DomainError, match="values must be finite"):
+        SchmidtSpectrum(np.array([0.5, math.inf]), 0.0)
+    assert len(calls) == 1
 
 
 def test_spectrum_rejects_bad_inputs():
