@@ -34,6 +34,9 @@ DEFAULT_TOL = 1e-12
 # Slack of the floating-point mass checks in _check_mass, mass + tail == 1.
 _NORM_SLACK = 1e-9
 
+# Tail-array cells of one block of mes_overlaps' gmes radii: rows x (largest top + 1) stays within it.
+_OVERLAP_BLOCK_CELLS = 10240
+
 
 def _check_mass(values: np.ndarray, mass: float, tail: float) -> None:
     """Truncation contract of every stored state: finite values, tail in [0, 1], 1 - tail <= mass <= 1.
@@ -241,14 +244,18 @@ def _poisson_tail_array(lam, nmax: int, nmin: int = 0) -> np.ndarray:
     The rows of one call share one block of terms over the union of their
     ranges, as a row's terms past its own hi are 0.0, and a sequential sum
     skips exact zeros bit for bit.  So a row is masked only where its bounds
-    differ from the block's: below its own start, past its own far end, and at
-    its split n = floor(lam) between the two sums.
+    differ from the block's: below its own start and past its own far end, and
+    from its split n = floor(lam) on its upper sum replaces its lower one.
+    Each mask spans only the columns between the rows' nearest and farthest
+    such bound.  fig1's grid and mes_overlaps' blocks of neighbouring radii
+    call this form.
     """
     rows = isinstance(lam, np.ndarray)
     if rows:
         lam = lam.astype(float)
-        up = lam < nmax + 1
-        if 0 < np.count_nonzero(up) < lam.size:
+        low, high = float(lam.min()), float(lam.max())
+        if low < nmax + 1 <= high:  # some rows read the upper sum, and some do not
+            up = lam < nmax + 1
             parts = _poisson_tail_array(lam[up], nmax, nmin), _poisson_tail_array(lam[~up], nmax, nmin)
             tail = np.empty((lam.size, nmax + 1 - nmin))
             tail[up], tail[~up] = parts
@@ -258,7 +265,7 @@ def _poisson_tail_array(lam, nmax: int, nmin: int = 0) -> np.ndarray:
         split, stop = int(mid.min()), int(mid.max())
         # each row's _lower_start, the same integers in floats below lam = 2^53
         starts = np.maximum(np.floor(lam) - np.ceil(12.0 * np.sqrt(lam) + 30.0), 0.0)
-        lo, low, high = int(starts.min()), float(lam.min()), float(lam.max())
+        lo = int(starts.min())
     else:
         split = stop = min(max(math.floor(lam), nmin), nmax + 1)  # the first n of the upper sum
         lo, low, high = _lower_start(lam), lam, lam
@@ -278,25 +285,26 @@ def _poisson_tail_array(lam, nmax: int, nmin: int = 0) -> np.ndarray:
     terms = _pmf_terms(base, end if upper else stop, lam)
     if lower:
         cdf = terms[..., : stop - lo]
-        if rows and starts.max() > lo:  # a row's sum starts at its own start
-            cdf *= np.arange(lo, stop) >= starts
+        if rows and starts.max() > lo:  # a row's sum starts at its own start, at most starts.max()
+            reach = min(int(starts.max()), stop)
+            cdf[..., : reach - lo] *= np.arange(lo, reach) >= starts
         # in place, unless a row's upper sum reads terms below the block's stop
         cdf = np.cumsum(cdf, axis=-1, out=cdf if split == stop else None)[..., first - lo :]
         np.minimum(cdf, 1.0, out=cdf)
-        np.subtract(1.0, cdf, out=cdf)
-        if split < stop:  # a row's lower sum ends at its own split
-            cdf *= np.arange(first, stop) < mid
-        tail[..., first - nmin : stop - nmin] = cdf
+        np.subtract(1.0, cdf, out=tail[..., first - nmin : stop - nmin])
     if upper:
         above = terms[..., split + 1 - base :]
-        if nmax + 1 + int(20.0 * math.sqrt(low) + 60.0) < end:  # a row's far end may lie inside the block
-            above *= np.arange(split + 1, end) < nmax + 1 + np.floor(20.0 * np.sqrt(lam) + 60.0)
+        near = max(nmax + 1 + int(20.0 * math.sqrt(low) + 60.0), split + 1)  # the nearest far end of a row
+        if near < end:  # a row's far end may lie inside the block
+            above[..., near - split - 1 :] *= np.arange(near, end) < nmax + 1 + np.floor(20.0 * np.sqrt(lam) + 60.0)
         backward = above[..., ::-1]
         np.cumsum(backward, axis=-1, out=backward)
-        above = above[..., : top - split]
-        if split < stop:  # and is read from its own split on; below it += adds 0.0 to the lower sum
-            above *= np.arange(split, top) >= mid
-        tail[..., split - nmin : top - nmin] += above
+        # top >= stop here, as hi > lam; from split to stop the tails hold the lower sums, and a row's upper sum
+        # takes over from its own split on
+        if split < stop:
+            np.copyto(tail[..., split - nmin : stop - nmin], above[..., : stop - split],
+                      where=np.arange(split, stop) >= mid)
+        tail[..., stop - nmin : top - nmin] = above[..., stop - split : top - split]
     return tail
 
 
@@ -503,17 +511,34 @@ def mes_overlaps(family: str, value, dims, cap: int = MAX_CUTOFF) -> list:
             sums = np.where(log_t < 0.0, np.expm1(n * log_t) / np.expm1(log_t), n)
         overlaps = sums * np.exp(-_log_cosh(r))[:, None] / np.sqrt(n)
     elif family == "gmes":
-        radii = np.atleast_1d(value).tolist()  # each b is checked as a float by _poisson_mean
-        overlaps = np.empty((len(radii), n.size))
-        for row, b in zip(overlaps, radii):
+        # every b is checked, in grid order, before any array is built
+        lams, tops, reach = [], [], max(dims, default=1) - 1  # an overlap with MES_N reads no tail past n = N - 1
+        for b in np.atleast_1d(value).tolist():  # each b is checked as a float by _poisson_mean
             lam = _poisson_mean(b)
             nmax = int(lam + 14.0 * math.sqrt(lam) + 40.0)
             if nmax > cap:
                 raise TruncationError(f"overlap sum for b={b} needs {nmax} terms, past the hard cap {cap}")
-            # an overlap with MES_N reads no tail past n = N - 1
-            csum = np.cumsum(np.sqrt(_poisson_tail_array(lam, min(nmax, max(dims, default=1) - 1)) / lam))
-            row[:] = csum[np.minimum(n, csum.size).astype(int) - 1]
-        overlaps /= np.sqrt(n)
+            lams.append(lam)
+            tops.append(min(nmax, reach))
+        # blocks of neighbouring means, one tail array each.  The tops rise with lam, so a block's last row has
+        # its largest top; a row's tails up to its own top are its own call's, as a tail depends on nmax only
+        # through terms far below those kept (see _poisson_tail_array)
+        order = sorted(range(len(lams)), key=lams.__getitem__)  # stable
+        cuts = [0] if order else []
+        for i, row in enumerate(order):
+            if i > cuts[-1] and (i + 1 - cuts[-1]) * (tops[row] + 1) > _OVERLAP_BLOCK_CELLS:
+                cuts.append(i)
+        lams, tops = np.array(lams)[order], np.array(tops, dtype=int)[order]
+        cols = np.minimum(n, tops[:, None] + 1).astype(int) - 1  # each row's prefix sums end at its own top
+        overlaps = np.empty((len(order), n.size))
+        for start, stop in zip(cuts, [*cuts[1:], len(order)]):
+            csum = _poisson_tail_array(lams[start:stop], int(tops[stop - 1]))
+            csum /= lams[start:stop, None]
+            np.sqrt(csum, out=csum)
+            np.cumsum(csum, axis=1, out=csum)
+            overlaps[start:stop] = csum[np.arange(stop - start)[:, None], cols[start:stop]]
+            del csum  # freed before the next block's array is built
+        overlaps[order] = overlaps / np.sqrt(n)
     else:
         raise DomainError(f"unknown family {family!r}, expected tmsv, gmes or mes")
     overlaps = np.minimum(overlaps, 1.0).tolist()

@@ -569,19 +569,27 @@ def test_fig2_overlap_memory(capsys):
 def test_fig2_a_sums_to_the_largest_dimension_from_the_table(capsys, monkeypatch):
     # at b <= 30 every pmf term comes from the log k! table, none from gammaln,
     # and no tail past n = 999 is built for N = 1000
-    terms = {"kernel": 0, "gammaln": 0}
+    terms = {"kernel": 0, "cells": 0, "gammaln": 0, "tail arrays": 0}
     pmf_terms, gammaln = gmeslab.states._pmf_terms, gmeslab.states.gammaln
+    tail_array = gmeslab.states._poisson_tail_array
 
     def count_terms(start, stop, lam):
         terms["kernel"] += max(0, stop - start)
-        return pmf_terms(start, stop, lam)
+        out = pmf_terms(start, stop, lam)
+        terms["cells"] += out.size
+        return out
 
     def count_gammaln(x):
         terms["gammaln"] += np.size(x)
         return gammaln(x)
 
+    def count_tail_arrays(*args):
+        terms["tail arrays"] += 1
+        return tail_array(*args)
+
     monkeypatch.setattr(gmeslab.states, "_pmf_terms", count_terms)
     monkeypatch.setattr(gmeslab.states, "gammaln", count_gammaln)
+    monkeypatch.setattr(gmeslab.states, "_poisson_tail_array", count_tail_arrays)
     code, out, _ = run(capsys, "fig2", "--variant", "a")
     assert code == 0
     assert len(rows_of(out)[1]) == 300
@@ -589,6 +597,10 @@ def test_fig2_a_sums_to_the_largest_dimension_from_the_table(capsys, monkeypatch
     # support, and 229,986 with the sums cut where they stop seeing terms
     assert 0 < terms["kernel"] <= 230_000
     assert terms["gammaln"] == 0
+    # the 300 radii go in 17 blocks of neighbouring b, one tail array each (300 with
+    # one per radius), whose kernels pad the 229,986 ragged cells to 252,622
+    assert terms["tail arrays"] <= 25
+    assert terms["cells"] <= 256_000
 
 
 @pytest.mark.parametrize(
@@ -615,7 +627,7 @@ def test_fig2_tmsv_overlap_memory(capsys, args, dim):
 
 def test_fig2_gmes_past_spectrum_cap(capsys):
     # gmes_spectrum(300) raises TruncationError (fault F-trunc); the overlap
-    # window b^2 + 40 b + 60 of every b on this grid is under the cap
+    # window b^2 + 14 b + 40 of every b on this grid is under the cap
     code, out, _ = run(capsys, "fig2", "--variant", "a", "--start", "299", "--stop", "301", "--steps", "3")
     assert code == 0
     header, rows = rows_of(out)

@@ -1034,13 +1034,105 @@ def test_mes_overlaps_over_a_grid_equal_each_scalar_call(family, data):
     assert [bits(row).tolist() for row in rows] == [bits(mes_overlaps(family, v, dims)).tolist() for v in grid]
 
 
+def per_radius_overlaps(value, dims, cap=states.MAX_CUTOFF):
+    """mes_overlaps' gmes branch as one tail array per radius, each checked and built in grid order."""
+    radii = np.atleast_1d(value).tolist()
+    n = np.array(dims, dtype=float)
+    overlaps = np.empty((len(radii), n.size))
+    for row, b in zip(overlaps, radii):
+        lam = states._poisson_mean(b)
+        nmax = int(lam + 14.0 * math.sqrt(lam) + 40.0)
+        if nmax > cap:
+            raise TruncationError(f"overlap sum for b={b} needs {nmax} terms, past the hard cap {cap}")
+        csum = np.cumsum(np.sqrt(states._poisson_tail_array(lam, min(nmax, max(dims, default=1) - 1)) / lam))
+        row[:] = csum[np.minimum(n, csum.size).astype(int) - 1]
+    overlaps /= np.sqrt(n)
+    return np.minimum(overlaps, 1.0).tolist()
+
+
+def seeded_radii(seed, size, reach, spacing, order):
+    """``size`` radii in (0, reach], linear or log-uniform, sorted, reversed, shuffled or with repeats."""
+    rng = np.random.default_rng(seed)
+    if spacing == "linear":
+        grid = reach * (1.0 - rng.random(size))
+    else:
+        grid = reach * 10.0 ** -rng.uniform(0.0, 8.0, size)
+    if order == "repeats":
+        grid = rng.permutation(np.concatenate((grid, rng.choice(grid, size // 3))))
+    elif order != "shuffled":
+        grid = np.sort(grid)[:: 1 if order == "sorted" else -1]
+    return grid
+
+
+BLOCK_DIMS = {
+    # N = 1, N past nmax = 1360 of b = 30 and N = 10^9; small N leave rows with lam >= N
+    30.0: st.lists(st.sampled_from([1, 2, 7, 50, 1000, 1361, 10**9]) | st.integers(1, 2000), max_size=5),
+    430.0: st.lists(st.sampled_from([1, 7, 300]) | st.integers(1, 5000), max_size=5),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(30, 600), reach=st.sampled_from(sorted(BLOCK_DIMS)),
+       spacing=st.sampled_from(["linear", "log"]), order=st.sampled_from(["sorted", "reversed", "shuffled", "repeats"]),
+       data=st.data())
+@example(seed=0, size=300, reach=30.0, spacing="linear", order="sorted", data=None)  # near fig2 a
+def test_mes_overlaps_in_blocks_equal_the_per_radius_loop(seed, size, reach, spacing, order, data):
+    # grids that cross many blocks, each row bit for bit the overlaps of its own tail array
+    grid = seeded_radii(seed, size, reach, spacing, order)
+    dims = [5, 20, 200, 1000] if data is None else data.draw(BLOCK_DIMS[reach])
+    assert bits(mes_overlaps("gmes", grid, dims)).tobytes() == bits(per_radius_overlaps(grid, dims)).tobytes()
+
+
+# int(b^2 + 14 b + 40) = MAX_CUTOFF + 1: the least b past the cap
+PAST_CAP_B = 440.2247757000947
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, 1e-170, 1e155, PAST_CAP_B])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_mes_overlaps_refuses_a_radius_before_any_array(monkeypatch, bad, where):
+    lam = PAST_CAP_B * PAST_CAP_B
+    assert int(lam + 14.0 * math.sqrt(lam) + 40.0) == states.MAX_CUTOFF + 1
+    grid = [1.0, 15.0, 30.0, 5.0]
+    grid.insert({"first": 0, "middle": 2, "last": 4}[where], bad)
+    dims = [5, 200_000]
+    # the per-radius loop builds the arrays before the bad radius, then raises
+    with pytest.raises((DomainError, TruncationError)) as want:
+        per_radius_overlaps(grid, dims)
+    calls = []
+    tail_array = states._poisson_tail_array
+
+    def spy(*args):
+        calls.append(args)
+        return tail_array(*args)
+
+    monkeypatch.setattr(states, "_poisson_tail_array", spy)
+    with pytest.raises(type(want.value)) as got:
+        mes_overlaps("gmes", grid, dims)
+    assert str(got.value) == str(want.value)
+    assert calls == []
+
+
+def test_mes_overlaps_blocks_keep_the_memory_of_one_radius():
+    # radii near the cap are blocks of one row each: the peak is that of the largest alone.
+    # scipy is imported at the top of this module, so gammaln's first use allocates no module
+    def peak(value):
+        tracemalloc.start()
+        try:
+            mes_overlaps("gmes", value, [5, 200_000])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(np.linspace(380.0, 430.0, 40)) < 1.25 * peak(430.0)
+
+
 def test_mes_overlaps_past_the_spectrum_cap():
     # b = 300 and 400 raise in gmes_spectrum (fault F-trunc), but the overlap
-    # window b^2 + 40 b + 60 is under the cap
+    # window b^2 + 14 b + 40 is under the cap
     for b in (300.0, 400.0):
         values = mes_overlaps("gmes", b, [1, int(b * b), 10**7])
         assert all(0.0 < v <= 1.0 for v in values)
-    # the cap is checked against the whole window b^2 + 40 b + 60, not the largest N
+    # the cap is checked against the whole window b^2 + 14 b + 40, not the largest N
     for dims in ([5], []):
         with pytest.raises(TruncationError):
             mes_overlaps("gmes", 15.0, dims, cap=100)
