@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, TruncationError, check_integer, check_real
-from .states import MAX_CUTOFF, _check_mass, _pmf_saddle, _pmf_support, _tail_window
+from .states import MAX_CUTOFF, _check_mass, _chernoff_range, _pmf_saddle, _pmf_support
 
 # Phase states whose Gram matrix has min/max eigenvalue ratio below this are
 # numerically dependent.
@@ -113,9 +113,9 @@ def _folded_pmf(lam: float, d: int, cutoff: int) -> tuple[np.ndarray, np.ndarray
     """P(X = n), X ~ Poisson(lam), summed over each residue n mod d: over n <= cutoff, and over n > cutoff."""
     if lam == 0.0:  # the vacuum: P(X = 0) = 1, where the kernel would take log 0
         lo, pmf = 0, np.ones(1)
-    else:  # one kernel call; terms past the window from cutoff + 1 add under 1e-150 of those kept
+    else:  # one kernel call; past the window each term is under 1e-150 of P(X = cutoff + 1), as cutoff >= 2 lam
         lo, hi = _pmf_support(lam)
-        pmf = _pmf_saddle(lo, min(hi, cutoff + 1 + _tail_window(lam)), lam)
+        pmf = _pmf_saddle(lo, min(hi, _chernoff_range(cutoff + 1, 150.0 * math.log(10.0))[1]), lam)
     residues = np.arange(lo, lo + pmf.size) % d
     cut = cutoff + 1 - lo
     return np.bincount(residues[:cut], pmf[:cut], d), np.bincount(residues[cut:], pmf[cut:], d)

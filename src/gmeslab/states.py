@@ -95,24 +95,24 @@ def _check_cap(cap: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Poisson tail primitives.  f(n, b) = P(X > n)/b^2 with X ~ Poisson(b^2).
-# Every tail is a sum of pmf terms from one kernel, _pmf_terms, taken in log
-# space so that no term underflows before it is negligible.  A tail that is at
-# least ~0.4 (n below the mean) is 1 minus the terms up to n; a smaller one is
-# the sum of the terms past n, so the far tail stays relative-accurate.  The
-# kernel runs only where those sums can resolve a term: from 12 sqrt(lam) + 30
-# below the mean to 20 sqrt(lam) + 60 past the last n, and never outside the
-# support _pmf_support, where every term rounds to 0.0.  The Kerr report takes
-# every pmf term of the support relative-accurate, from _pmf_saddle.
+# Poisson tail primitives.  f(n, b) = P(X > n)/b^2 with X ~ Poisson(b^2).  Every tail is a sum of pmf terms
+# from one kernel, _pmf_terms, taken in log space so that no term underflows before it is negligible.  A tail
+# that is at least ~0.4 (n below the mean) is 1 minus the terms up to n; a smaller one is the sum of the terms
+# past n, so the far tail stays relative-accurate; the Kerr report takes every pmf term relative-accurate, from
+# _pmf_saddle.  Every range a sum runs over ends where one rule, _chernoff_range(lam, eps), puts it, each site
+# naming its eps (m = max(last n + 1, lam)):
+#   _pmf_support, both ends (hi refined)   750    every term outside rounds to 0.0
+#   _lower_start, a lower sum's start      72     the mass below it is under e^-72
+#   _far_end, an upper sum's end, from m   100    each term past it is under e^-100 P(X = m)
+#   bounded_f_profile's last n             72     the f(n, b) past it sum to under 3e-36
+#   mes_overlaps' last n                   99     P(X > n) < 2^-141 P(X > 0) past it
+#   crosskerr's Kerr window, from m        345.4  each term past it is under 1e-150 P(X = m)
 # ---------------------------------------------------------------------------
 
 
-_SQRT_1500 = math.sqrt(1500.0)
-
-# log k! for k = 0..4095, read-only: 32 KB that cover the whole pmf support of
-# every lam <= 1600.  The file holds scipy.special.gammaln(arange(1, 4097)) bit
-# for bit (math.lgamma is 1 ulp off in about half the entries), so no default
-# call imports scipy.  A larger k goes through gammaln itself.
+# log k! for k = 0..4095, read-only: 32 KB that cover the whole pmf support of every lam <= 1600.  The file holds
+# scipy.special.gammaln(arange(1, 4097)) bit for bit (math.lgamma is 1 ulp off in about half the entries), so no
+# default call imports scipy.  A larger k goes through gammaln itself.
 _LOG_FACTORIAL = np.load(Path(__file__).with_name("_log_factorial.npy"), allow_pickle=False)
 _LOG_FACTORIAL.setflags(write=False)
 
@@ -124,25 +124,36 @@ def gammaln(x):
     return scipy.special.gammaln(x)
 
 
+def _chernoff_range(lam, eps: float):
+    """(lo, hi): the Poisson(lam) mass below lo and the mass from hi on are each under e^-eps.
+
+    By Chernoff, P(X <= k) or P(X >= k) <= exp(-lam h(k/lam)) for k on either side of the mean, h(x) = x log x
+    - x + 1.  With s = sqrt(2 eps lam), h(x) >= (1 - x)^2/2 passes eps from lam - k >= s on, hence lo =
+    floor(lam) - ceil(s), and Bernstein's h(1 + u) >= u^2/(2 + 2u/3) from k - lam >= eps/3 + hypot(eps/3, s) on,
+    hence hi.  Called at m >= the mean in place of lam, hi bounds each P(X = k)/P(X = m), k >= hi, by e^-eps:
+    log P(X = k) - log P(X = m) <= (k - m) log m - log(k!/m!) <= -m h(k/m), as log(k!/m!) is at least the
+    integral of log x from m to k.  Both ends are integers offset from floor(lam), apart at every mean.  An array
+    ``lam`` gives each entry's ends in floats, bit for bit its own call's, as sqrt, hypot, floor and ceil round
+    correctly; s is taken as sqrt(2 eps) sqrt(lam), as 2 eps lam overflows near the top of the float range.
+    """
+    xp = np if isinstance(lam, np.ndarray) else math
+    spread = math.sqrt(2.0 * eps) * xp.sqrt(lam)
+    mean = xp.floor(lam)
+    lo = mean - xp.ceil(spread)
+    hi = mean + xp.ceil(eps / 3.0 + xp.hypot(eps / 3.0, spread)) + 1
+    return (np.maximum(lo, 0.0) if xp is np else max(0, lo)), hi
+
+
 def _pmf_support(lam: float) -> tuple[int, int]:
     """[lo, hi): the k outside it have exp(k log lam - lam - gammaln(k+1)) == 0.0.
 
-    Every log-pmf outside [lo, hi) is below -750.  Below the mean the Chernoff
-    bound log P(X = k) <= -lam h(k/lam), h(x) = x log x - x + 1 >= (1 - x)^2/2,
-    gives that for k < lam - sqrt(1500 lam).  Above it log k! >= k log k - k +
-    log(2 pi k)/2 gives log P(X = k) <= -g(k), g(k) = lam h(k/lam) + log(2 pi k)/2,
-    increasing and convex for k > lam, and hi is the first k > lam with
-    g(k) >= 750: Newton steps from Bernstein's h(1 + u) >= u^2/(2 + 2u/3), whose
-    bound lam + 250 + sqrt(250^2 + 1500 lam) lies above it, come down to it.
-    exp rounds anything below -745.13 to 0.0, and the log-pmf itself rounds by
-    about lam log(lam) 2^-52, ~1e-9 at lam = 2e5, so the margin of ~5 holds for
-    every lam below ~1e13; past that Bernstein's bound is kept.  Both ends are
-    integers offset from floor(lam), so that they stay apart at every mean.
+    _chernoff_range(lam, 750) puts every log-pmf outside it below -750, and exp rounds all below -745.13 to 0.0.
+    Above the mean log k! >= k log k - k + log(2 pi k)/2 gives log P(X = k) <= -g(k), g(k) = lam h(k/lam) +
+    log(2 pi k)/2, convex there: Newton steps from the range's hi come down to the first k > lam with g(k) >= 750.
+    The log-pmf rounds by about lam log(lam) 2^-52, so that margin of ~5 holds below lam ~ 1e13; past it the
+    range's hi stays.
     """
-    spread = _SQRT_1500 * math.sqrt(lam)  # sqrt(1500 lam), finite for every finite lam
-    mean = math.floor(lam)
-    lo = max(0, mean - math.ceil(spread))
-    hi = mean + math.ceil(250.0 + math.hypot(250.0, spread)) + 1
+    lo, hi = _chernoff_range(lam, 750.0)
     if lam < 1e13:
         k, log_lam = float(hi), math.log(lam)  # log k - log lam, as k/lam overflows for lam < 1e-306
         while True:
@@ -191,21 +202,12 @@ def _pmf_saddle(start: int, stop: int, lam: float) -> np.ndarray:
     return np.concatenate((_pmf_terms(start, min(stop, 16), lam), terms))
 
 
-def _tail_window(lam: float) -> int:
-    # Away from the mean the pmf falls at least like exp(-j^2 / (4 lam)) over
-    # j steps while j < lam, and geometrically after that.  So the terms past
-    # a window of 40 sqrt(lam) + 60 from the kept end sum to less than 1e-150
-    # of the terms kept, for every lam, so well below 1e-18 of them.
-    return int(40.0 * math.sqrt(lam) + 60.0)
-
-
 def poisson_tail(n: int, lam: float) -> float:
     """P(X > n) for X ~ Poisson(lam), stable in both tails; a real n counts as floor(n), +-inf included.
 
-    ``TruncationError`` where a sum needs more than MAX_CUTOFF terms: an n at
-    or above the mean from lam ~ 9.994e7 on, an n just below it from ~2.777e8
-    on.  Past lam ~ 1e7 the rounding of k log lam costs about 1e-7 relative
-    (7e-8 from pdtrc at lam = 9.994e7, n = floor(lam)).
+    ``TruncationError`` where a sum needs more than MAX_CUTOFF terms: an n at or above the mean from lam ~ 1.9993e8
+    on, an n just below it from ~2.7778e8 on.  Past lam ~ 1e7 the rounding of k log lam costs about 1e-7 relative
+    (7e-8 from mpmath at lam = 9.994e7, n = floor(lam); 3.4e-7 at lam = 1.9993e8).
     """
     lam = check_real(lam, "Poisson mean", 0.0)
     if n != n:
@@ -218,37 +220,35 @@ def poisson_tail(n: int, lam: float) -> float:
     return float(_poisson_tail_array(lam, int(n), int(n))[0])
 
 
-def _lower_start(lam: float) -> int:
-    """Where a lower sum starts: the mass below floor(lam) - ceil(12 sqrt(lam) + 30) is under e^-72."""
-    return max(0, math.floor(lam) - math.ceil(12.0 * math.sqrt(lam) + 30.0))
+def _lower_start(lam):
+    """Where a lower sum starts, for a mean or an array of them: the mass below it is under e^-72."""
+    return _chernoff_range(lam, 72.0)[0]
+
+
+def _far_end(lam: float, nmax: int) -> int:
+    """Where an upper sum over n <= nmax ends: the support's end, or _chernoff_range(m, 100)'s hi if nearer."""
+    hi = _pmf_support(lam)[1]
+    return min(hi, _chernoff_range(max(min(nmax + 1, hi), lam), 100.0)[1])  # m clipped at hi: a huge nmax is an int
 
 
 def _poisson_tail_array(lam, nmax: int, nmin: int = 0) -> np.ndarray:
     """P(X > n) for n = nmin..nmax and X ~ Poisson(lam > 0), relative-accurate in both tails.
 
-    Below the mean (n + 1 <= lam) the tail, at least ~0.4 there, is 1 minus the
-    terms from _lower_start(lam) up to n; from the mean on it is the sum of the
-    terms past n, from the far end min(hi, nmax + 1 + 20 sqrt(lam) + 60) down.
-    The ranges end where the sums stop seeing terms: below the start the mass
-    is under e^-72, so each tail there is 1.0 and the running sum merges with
-    the one over all k long before 1 minus it could round differently, and the
-    terms past the far end are below about e^-100 of those kept.  So the value
-    at n depends on neither nmin nor, but for such terms, nmax.  From the last
-    term on the tail is 0.0.  Both sums come from one kernel call and are
-    summed in place.  ``TruncationError`` if a sum needs more than MAX_CUTOFF
-    terms, before any of them is evaluated.
+    Below the mean (n + 1 <= lam) the tail, at least ~0.4 there, is 1 minus the terms from _lower_start(lam) up to
+    n; from the mean on it is the sum of the terms past n, from _far_end(lam, nmax) down.  The ranges end where the
+    sums stop seeing terms: below the start the mass is under e^-72, so each tail there is 1.0 and the running sum
+    merges with the one over all k long before 1 minus it could round differently, and each term past the far end
+    is under e^-100 of P(X = max(nmax + 1, lam)), a term kept.  So the value at n depends on neither nmin nor, but
+    for such terms, nmax.  From the last term on the tail is 0.0.  Both sums come from one kernel call and are
+    summed in place.  ``TruncationError`` if a sum needs more than MAX_CUTOFF terms, before any is evaluated.
 
-    A 1-d numpy array of means gives one row per mean, each its own call's
-    array bit for bit.  The rows that read the upper sum (lam < nmax + 1) and
-    the others are two calls, so that no row evaluates a sum it never reads.
-    The rows of one call share one block of terms over the union of their
-    ranges, as a row's terms past its own hi are 0.0, and a sequential sum
-    skips exact zeros bit for bit.  So a row is masked only where its bounds
-    differ from the block's: below its own start and past its own far end, and
-    from its split n = floor(lam) on its upper sum replaces its lower one.
-    Each mask spans only the columns between the rows' nearest and farthest
-    such bound.  fig1's grid and mes_overlaps' blocks of neighbouring radii
-    call this form.
+    A 1-d numpy array of means gives one row per mean, each its own call's array bit for bit.  The rows that read
+    the upper sum (lam < nmax + 1) and the others are two calls, so that no row evaluates a sum it never reads.
+    The rows of one call share one block of terms over the union of their ranges, as a row's terms past its own hi
+    are 0.0, and a sequential sum skips exact zeros bit for bit.  Every row that reads an upper sum has the same far
+    end, anchored at m = nmax + 1 > lam, up to its own hi.  So a row is masked only below its own start and from
+    its split n = floor(lam) on, where its upper sum replaces its lower one; each mask spans only the columns
+    between the rows' lowest and highest such bound.  fig1's grid and mes_overlaps' blocks call this form.
     """
     rows = isinstance(lam, np.ndarray)
     if rows:
@@ -263,13 +263,12 @@ def _poisson_tail_array(lam, nmax: int, nmin: int = 0) -> np.ndarray:
         lam = lam[:, None]
         mid = np.clip(np.floor(lam), nmin, nmax + 1)  # clipped before the casts: floor(lam) may pass int64
         split, stop = int(mid.min()), int(mid.max())
-        # each row's _lower_start, the same integers in floats below lam = 2^53
-        starts = np.maximum(np.floor(lam) - np.ceil(12.0 * np.sqrt(lam) + 30.0), 0.0)
+        starts = _lower_start(lam)  # each row's, the same integers in floats below lam = 2^53
         lo = int(starts.min())
     else:
         split = stop = min(max(math.floor(lam), nmin), nmax + 1)  # the first n of the upper sum
-        lo, low, high = _lower_start(lam), lam, lam
-    end = min(_pmf_support(high)[1], nmax + 1 + int(20.0 * math.sqrt(high) + 60.0))
+        lo, high = _lower_start(lam), lam
+    end = _far_end(high, nmax)
     top = min(end - 1, nmax + 1)  # from n = end - 1 on no term is left above n
     first = max(lo, nmin)
     lower, upper = first < stop, split < top
@@ -294,9 +293,6 @@ def _poisson_tail_array(lam, nmax: int, nmin: int = 0) -> np.ndarray:
         np.subtract(1.0, cdf, out=tail[..., first - nmin : stop - nmin])
     if upper:
         above = terms[..., split + 1 - base :]
-        near = max(nmax + 1 + int(20.0 * math.sqrt(low) + 60.0), split + 1)  # the nearest far end of a row
-        if near < end:  # a row's far end may lie inside the block
-            above[..., near - split - 1 :] *= np.arange(near, end) < nmax + 1 + np.floor(20.0 * np.sqrt(lam) + 60.0)
         backward = above[..., ::-1]
         np.cumsum(backward, axis=-1, out=backward)
         # top >= stop here, as hi > lam; from split to stop the tails hold the lower sums, and a row's upper sum
@@ -319,12 +315,18 @@ def _poisson_mean(b: float) -> float:
 def f_coefficient(n: int, b: float) -> float:
     """Photon-number weight f(n, b) of the boundary-b Gaussian mixed state.
 
-    f(n, b) = (1 - sum_{k=0}^{n} b^{2k} e^{-b^2} / k!) / b^2, i.e. the Poisson
-    upper tail P(X > n) at mean b^2, divided by b^2.
+    f(n, b) = (1 - sum_{k=0}^{n} b^{2k} e^{-b^2} / k!) / b^2, i.e. the Poisson upper tail P(X > n) at mean b^2,
+    divided by b^2.  From n = floor(b^2) on it is sum_{j>=n} P(X = j)/(j + 1), as b^(2k-2)/k! = (b^(2j)/j!)/(j + 1)
+    with j = k - 1: no quotient by b^2 is left to underflow after its numerator.
     """
     n = check_integer(n, "n", 0)
     lam = _poisson_mean(b)
-    return poisson_tail(n, lam) / lam
+    if n < math.floor(lam):  # there lam >= 1, and the tail at least ~0.4
+        return poisson_tail(n, lam) / lam
+    end = _far_end(lam, n)
+    if end - n > MAX_CUTOFF:
+        raise TruncationError(f"f(n, b) at b={b} sums {end - n} pmf terms, past the hard cap {MAX_CUTOFF}")
+    return 0.0 if end <= n else math.fsum(_pmf_saddle(n, end, lam) / np.arange(n + 1.0, end + 1.0))
 
 
 def _fsum_repeated_head(values: np.ndarray, head: int) -> float:
@@ -369,27 +371,24 @@ def _repeated_sum(v: float, count: int, reach: float = math.inf) -> tuple[float,
 def bounded_f_profile(b: float, tol: float = DEFAULT_TOL, cap: int = MAX_CUTOFF):
     """f(n, b) for n = 0..M with M the first index where the mass reaches 1 - tol.
 
-    Returns ``(values, tail_bound)``, with ``values`` a fresh buffer the caller
-    may overwrite.  Shared by the Schmidt-spectrum and the diagonal-distribution
-    constructors so the two stay numerically identical.  The f(n, b) below
-    h = _lower_start(b^2) all equal 1/b^2: that head is a fill, its running sum
-    comes from _repeated_sum, and the tail array runs on the window past it only.
-    ``tail_bound`` is 1 minus the correctly rounded sum of ``values``.
+    Returns ``(values, tail_bound)``, with ``values`` a fresh buffer the caller may overwrite.  Shared by the
+    Schmidt-spectrum and the diagonal-distribution constructors so the two stay numerically identical.  The f(n, b)
+    below h = _lower_start(b^2) all equal 1/b^2: that head is a fill, its running sum comes from _repeated_sum, and
+    the tail array runs on the window past it only.  ``tail_bound`` is 1 minus the correctly rounded sum of values.
     """
     lam = _poisson_mean(b)
     _check_tol(tol)
     _check_cap(cap)
-    nmax = min(int(lam + 12.0 * math.sqrt(lam) + 30.0), cap)
-    # each f(n, b) is below 1/b^2, so no cutoff within the cap exists when
-    # (cap + 1)/b^2 < 1 - tol; that is known before any array is built
+    nmax = min(_chernoff_range(lam, 72.0)[1], cap)
+    # each f(n, b) is below 1/b^2, so no cutoff within the cap exists when (cap + 1)/b^2 < 1 - tol, seen first
     if (cap + 1) / lam >= 1.0 - tol:
         head = min(_lower_start(lam), nmax + 1)  # <= cap + 1 < 2^26, as _fsum_repeated_head needs
         carry, count = _repeated_sum(1.0 / lam, head, 1.0 - tol)
         if carry >= 1.0 - tol:  # the cut lies inside the head
             values = np.full(count, 1.0 / lam)
             return values, max(0.0, 1.0 - _fsum_repeated_head(values, count))
-        # one pass: the f(n, b) past lam + 12 sqrt(lam) + 30 sum to at most 7.4e-37,
-        # below half an ulp of csum near 1 - tol, so no longer profile moves the cut
+        # one pass: the f(n, b) past nmax sum to under 3e-36, below half an ulp of csum near 1 - tol, so no longer
+        # profile moves the cut
         f = _poisson_tail_array(lam, nmax, head)
         f /= lam
         csum = np.cumsum(np.concatenate(([carry], f)))  # csum[i] sums the first head + i values
@@ -401,7 +400,7 @@ def bounded_f_profile(b: float, tol: float = DEFAULT_TOL, cap: int = MAX_CUTOFF)
             return values, max(0.0, 1.0 - _fsum_repeated_head(values, head))
         if nmax < cap:
             raise TruncationError(f"no cutoff for b={b} at tol={tol}: f(n, b) summed up to n = {nmax} is "
-                                  f"{float(csum[-1])!r} < 1 - tol, short by rounding, as the rest is below 7.4e-37")
+                                  f"{float(csum[-1])!r} < 1 - tol, short by rounding, as the rest is below 3e-36")
     raise TruncationError(f"cutoff for b={b} at tol={tol} exceeds the hard cap {cap}")
 
 
@@ -476,15 +475,14 @@ def mes_spectrum(N: int) -> SchmidtSpectrum:
 def mes_overlaps(family: str, value, dims, cap: int = MAX_CUTOFF) -> list:
     """Overlap sum_{n<N} c_n / sqrt(N), clamped to 1, of MES_N and an untruncated state.
 
-    One value per N in ``dims``, exact for every N (a truncated spectrum would
-    lose up to sqrt(tol) of it), for ``family``:
+    One value per N in ``dims``, exact for every N (a truncated spectrum would lose up to sqrt(tol) of it), for
+    ``family``:
 
     * "tmsv", value r: (1 - t^N) / ((1 - t) cosh(r) sqrt(N)) with t = tanh(r);
-    * "gmes", value b: the prefix sum of sqrt(f(n, b)) over n < N, cut at
-      n = b^2 + 14 b + 40 (``TruncationError`` if that n exceeds ``cap``,
-      whatever N is).  There P(X > n)/P(X > 0) < 2^-141 by the Chernoff bound,
-      so every later sqrt(f(n, b)) is under half an ulp of the running sum,
-      and the cut sum is the whole one bit for bit;
+    * "gmes", value b: the prefix sum of sqrt(f(n, b)) over n < N, cut at n = _chernoff_range(b^2, 99)'s hi
+      (``TruncationError`` if that n exceeds ``cap``, whatever N is).  There P(X > n) < e^-99, under
+      2^-141 P(X > 0) (P(X > 0) >= 1 - 1/e for b >= 1, and n >= 67 for every b), so every later sqrt(f(n, b)) is
+      under half an ulp of the running sum, and the cut sum is the whole one bit for bit;
     * "mes", value M: min(N, M) / sqrt(N M).
 
     A 1-d sequence of r or b gives one such list per value, as its own call would.
@@ -515,7 +513,7 @@ def mes_overlaps(family: str, value, dims, cap: int = MAX_CUTOFF) -> list:
         lams, tops, reach = [], [], max(dims, default=1) - 1  # an overlap with MES_N reads no tail past n = N - 1
         for b in np.atleast_1d(value).tolist():  # each b is checked as a float by _poisson_mean
             lam = _poisson_mean(b)
-            nmax = int(lam + 14.0 * math.sqrt(lam) + 40.0)
+            nmax = _chernoff_range(lam, 99.0)[1]
             if nmax > cap:
                 raise TruncationError(f"overlap sum for b={b} needs {nmax} terms, past the hard cap {cap}")
             lams.append(lam)
@@ -532,7 +530,8 @@ def mes_overlaps(family: str, value, dims, cap: int = MAX_CUTOFF) -> list:
         cols = np.minimum(n, tops[:, None] + 1).astype(int) - 1  # each row's prefix sums end at its own top
         overlaps = np.empty((len(order), n.size))
         for start, stop in zip(cuts, [*cuts[1:], len(order)]):
-            csum = _poisson_tail_array(lams[start:stop], int(tops[stop - 1]))
+            block = lams[start:stop] if stop - start > 1 else float(lams[start])  # one row: the lighter scalar form
+            csum = np.atleast_2d(_poisson_tail_array(block, int(tops[stop - 1])))
             csum /= lams[start:stop, None]
             np.sqrt(csum, out=csum)
             np.cumsum(csum, axis=1, out=csum)

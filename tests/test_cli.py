@@ -324,7 +324,7 @@ def test_fig1_makes_one_tail_array_call(capsys, monkeypatch):
 
 def test_fig1_kernel_terms_only_for_the_sums_read(capsys, monkeypatch):
     # 26,800 terms when every row's block also ran the upper sum: the rows with
-    # 2 nbar >= 3 never read it, and the lower sums start 12 sqrt(lam) + 30 below the mean
+    # 2 nbar >= 3 never read it, and the lower sums start ceil(12 sqrt(lam)) below the mean
     terms = []
     pmf_terms = gmeslab.states._pmf_terms
 
@@ -598,7 +598,8 @@ def test_fig2_a_sums_to_the_largest_dimension_from_the_table(capsys, monkeypatch
     assert 0 < terms["kernel"] <= 230_000
     assert terms["gammaln"] == 0
     # the 300 radii go in 17 blocks of neighbouring b, one tail array each (300 with
-    # one per radius), whose kernels pad the 229,986 ragged cells to 252,622
+    # one per radius), whose kernels hold 238,562 cells (252,622 with the window
+    # constants that preceded _chernoff_range)
     assert terms["tail arrays"] <= 25
     assert terms["cells"] <= 256_000
 
@@ -627,7 +628,7 @@ def test_fig2_tmsv_overlap_memory(capsys, args, dim):
 
 def test_fig2_gmes_past_spectrum_cap(capsys):
     # gmes_spectrum(300) raises TruncationError (fault F-trunc); the overlap
-    # window b^2 + 14 b + 40 of every b on this grid is under the cap
+    # window _chernoff_range(b^2, 99)'s hi of every b on this grid is under the cap
     code, out, _ = run(capsys, "fig2", "--variant", "a", "--start", "299", "--stop", "301", "--steps", "3")
     assert code == 0
     header, rows = rows_of(out)

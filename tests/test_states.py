@@ -11,7 +11,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, pdtr, pdtrc
 
@@ -129,23 +129,27 @@ def test_poisson_tail_refuses_a_band_past_the_cap(n, lam):
     assert poisson_tail(hi - 1, lam) == 0.0
 
 
-# Bisected limits of a sum's length: floor(20 sqrt(lam) + 60) terms at and past
-# the mean, ceil(12 sqrt(lam) + 30) below it, each at most MAX_CUTOFF.
-UPPER_LIMIT = (99941008.70249996, 99941008.70249997)
-LOWER_LIMIT = (277694450.69444454, 277694450.6944446)
+# Bisected limits of a sum's length, each at most MAX_CUTOFF: at and past the mean from floor(lam) + 1 to the far
+# end _chernoff_range(floor(lam) + 1, 100)'s hi, below it from _chernoff_range(lam, 72)'s lo.  The upper one was
+# (99941008.70249996, 99941008.70249997) with the far end 20 sqrt(lam) + 60 past the last n, the lower one
+# (277694450.69444454, 277694450.6944446) with the start ceil(12 sqrt(lam) + 30) below the mean.
+UPPER_LIMIT = (199931332.99999997, 199931333.0)
+LOWER_LIMIT = (277777777.77777785, 277777777.7777779)
 
 
 def test_poisson_tail_domain_ends_near_1e8():
     # admitted up to 2.67e7 when the sums ran over the whole support.  Past
-    # 1e7 k log lam rounds by ~1e-7 of a term (1.3e-7 against an mpmath sum
-    # at lam = 9.99e7); pdtrc holds near the mean, though not 10 standard
-    # deviations out (1e-1 off there at 9.99e7)
+    # 1e7 k log lam rounds by ~1e-7 of a term (7.1e-8 against an mpmath sum
+    # at lam = 9.994e7, 3.4e-7 at 1.9993e8); pdtrc holds near the mean, though
+    # not 10 standard deviations out (1e-1 off there at 9.99e7)
+    n = 99941008
+    assert poisson_tail(n, 99941008.70249996) == pytest.approx(pdtrc(n, 99941008.70249996), rel=2e-7)
     below, above = UPPER_LIMIT
     n = math.floor(below)
-    assert poisson_tail(n, below) == pytest.approx(pdtrc(n, below), rel=2e-7)
+    assert poisson_tail(n, below) == pytest.approx(pdtrc(n, below), rel=1e-6)
     with pytest.raises(TruncationError, match="sums 200001 pmf terms"):
         poisson_tail(math.floor(above), above)
-    assert poisson_tail(n - 1, above) == pytest.approx(pdtrc(n - 1, above), rel=2e-7)
+    assert poisson_tail(n - 1, above) == pytest.approx(pdtrc(n - 1, above), rel=1e-6)
     # below the mean, up to 2.78e8
     below, above = LOWER_LIMIT
     n = math.floor(below) - 1
@@ -167,8 +171,55 @@ def test_sums_cut_where_they_stop_seeing_terms(lam):
     start = states._lower_start(lam)
     assert start == 0 or pdtr(start - 1, lam) < math.exp(-72.0)
     # past mes_overlaps' cut every sqrt(f(n, b)) is under half an ulp of the running sum
-    n = int(lam + 14.0 * math.sqrt(lam) + 40.0)
+    n = states._chernoff_range(lam, 99.0)[1]
     assert pdtrc(n, lam) < 2.0**-141 * pdtrc(0, lam)
+
+
+# Each site's eps of the one range rule.  Mass: the Poisson mass below lo and from hi on is under e^-eps at
+# _pmf_support (750), mes_overlaps' cut (99) and _lower_start and bounded_f_profile's cut (72).  Anchored at
+# m >= lam: each term from hi on is under e^-eps P(X = m) at _far_end (100) and the Kerr window (1e-150).
+MASS_EPS = (750.0, 99.0, 72.0)
+ANCHORED_EPS = (100.0, 150.0 * math.log(10.0))
+CHERNOFF_EPS = (*MASS_EPS, *ANCHORED_EPS)
+
+
+def log_pmf(k, lam):
+    """log P(X = k) in mpmath, k! as Gamma(k + 1) for a real k."""
+    lam = mpmath.mpf(lam)
+    return k * mpmath.log(lam) - lam - mpmath.loggamma(k + 1)
+
+
+def log_mass_from(k, lam, step):
+    """log P(X <= k) (step -1) or log P(X >= k) (step 1): terms summed outward, the rest bounded geometrically."""
+    with mpmath.workdps(30):
+        term, total = mpmath.exp(log_pmf(k, lam)), mpmath.mpf(0)
+        while k >= 0 and term > total * mpmath.mpf(2) ** -30:
+            total += term
+            ratio = k / mpmath.mpf(lam) if step < 0 else mpmath.mpf(lam) / (k + 1)
+            term *= ratio
+            k += step
+        if k >= 0:  # the ratio only falls further out, so the rest is under term / (1 - ratio)
+            total += term / (1 - ratio)
+        return mpmath.log(total)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(math.log(1e-6), math.log(1e8)), st.floats(0.0, 60.0))
+@example(math.log(1e-6), 0.0)
+@example(math.log(1e8), 0.0)
+@example(math.log(1e8), 60.0)
+def test_chernoff_range_bounds_what_lies_outside(log_lam, offset):
+    lam = math.exp(log_lam)
+    for eps in MASS_EPS:
+        lo, hi = states._chernoff_range(lam, eps)
+        assert lo == 0 or log_mass_from(lo - 1, lam, -1) < -eps, (lam, eps)
+        assert log_mass_from(hi, lam, 1) < -eps, (lam, eps)
+    # called at m = max(last n + 1, lam), as _far_end and the Kerr window call it
+    m = max(lam, math.floor(lam + offset * math.sqrt(lam)) + 1)
+    for eps in ANCHORED_EPS:
+        hi = states._chernoff_range(m, eps)[1]
+        with mpmath.workdps(30):
+            assert log_pmf(hi, lam) - log_pmf(m, lam) < -eps, (lam, m, eps)
 
 
 @pytest.mark.parametrize("b", [0.5, 15.0, 350.0])
@@ -245,8 +296,8 @@ def reference_pmf(k, lam):
 
 
 def reference_tail_array(lam, nmax):
-    """P(X > n), n = 0..nmax, from cumulative sums over every k up to nmax + window."""
-    pmf = reference_pmf(np.arange(nmax + 1 + states._tail_window(lam), dtype=float), lam)
+    """P(X > n), n = 0..nmax, from cumulative sums over every k up to nmax + 40 sqrt(lam) + 60."""
+    pmf = reference_pmf(np.arange(nmax + 1 + int(40.0 * math.sqrt(lam) + 60.0), dtype=float), lam)
     cdf = np.cumsum(pmf[: nmax + 1])
     lower = 1.0 - np.minimum(cdf, 1.0)
     above = np.cumsum(pmf[:0:-1])[::-1][: nmax + 1]
@@ -271,10 +322,11 @@ def test_pmf_support_is_exact(lam):
     lo, hi = states._pmf_support(lam)
     edges = np.array([k for k in (*range(lo - 3, lo), *range(hi, hi + 4)) if k >= 0], dtype=float)
     assert np.all(reference_pmf(edges, lam) == 0.0)
-    # the first array of bounded_f_profile and the one of mes_overlaps, and
-    # two that end below the support, as a small cap of bounded_f_profile does
-    for nmax in (int(lam + 12.0 * math.sqrt(lam) + 30.0), int(lam + states._tail_window(lam)),
-                 max(0, lo - 1), lo // 2):
+    # the first array of bounded_f_profile and the one of mes_overlaps, one that
+    # ends at the mean plus 40 sqrt(lam) + 60, and two that end below the
+    # support, as a small cap of bounded_f_profile does
+    for nmax in (states._chernoff_range(lam, 72.0)[1], states._chernoff_range(lam, 99.0)[1],
+                 int(lam + 40.0 * math.sqrt(lam) + 60.0), max(0, lo - 1), lo // 2):
         want = reference_tail_array(lam, nmax)
         assert np.array_equal(bits(states._poisson_tail_array(lam, nmax)), bits(want))
 
@@ -333,6 +385,12 @@ def test_tail_array_rows_are_the_scalar_calls(exponents, special, a, b):
     assert rows.shape == (lams.size, nmax + 1 - nmin)
     for lam, row in zip(lams.tolist(), rows):
         assert np.array_equal(bits(row), bits(states._poisson_tail_array(lam, nmax, nmin))), lam
+    # and so are the ends of the one range rule at every site's eps, at lam and at m = max(nmax + 1, lam)
+    for means in (lams, np.maximum(lams, nmax + 1.0)):
+        for eps in CHERNOFF_EPS:
+            lo, hi = states._chernoff_range(means, eps)
+            for mean, row_lo, row_hi in zip(means.tolist(), lo.tolist(), hi.tolist()):
+                assert [float(end) for end in states._chernoff_range(mean, eps)] == [row_lo, row_hi], (mean, eps)
 
 
 @settings(max_examples=40, deadline=None)
@@ -346,7 +404,8 @@ def test_poisson_tail_is_one_point_of_the_tail_array(lam, fractions):
     # the arrays of bounded_f_profile and of mes_overlaps alike
     lo, hi = states._pmf_support(lam)
     mean = math.floor(lam)
-    for nmax in (int(lam + 12.0 * math.sqrt(lam) + 30.0), int(lam + states._tail_window(lam))):
+    for nmax in (states._chernoff_range(lam, 72.0)[1], states._chernoff_range(lam, 99.0)[1],
+                 int(lam + 40.0 * math.sqrt(lam) + 60.0)):
         tails = states._poisson_tail_array(lam, nmax)
         picks = {lo - 1, lo, lo + 1, mean - 1, mean, mean + 1, hi - 2, hi - 1, nmax - 1, nmax}
         picks |= {int(u * nmax) for u in fractions}
@@ -452,16 +511,18 @@ def test_the_kernel_runs_on_the_support_only(monkeypatch):
     monkeypatch.setattr(states, "gammaln", spy)
     gmes_spectrum(350.0)
     # every k up to the cutoff plus the window would be 140,791 terms, and the
-    # support alone 27,295: the sums start 12 sqrt(lam) + 30 below the mean and
-    # end 20 sqrt(lam) + 60 past the profile's last n, 15,521 terms in one call
-    assert terms == [15_521]
-    # a scalar tail below the mean starts its sum 12 sqrt(lam) + 30 below the
+    # support alone 27,295: the sums start ceil(12 sqrt(lam)) below the mean and
+    # end at _chernoff_range(m, 100)'s hi from the profile's last n + 1 = m,
+    # 13,496 terms in one call (15,521 from 12 sqrt(lam) + 30 below the mean to
+    # 20 sqrt(lam) + 60 past the last n)
+    assert terms == [13_496]
+    # a scalar tail below the mean starts its sum ceil(12 sqrt(lam)) below the
     # mean, where the support starts 38.7 sqrt(lam) below it
     terms.clear()
     lam = 1.6e5
     n = int(lam - 10.0 * math.sqrt(lam))
     poisson_tail(n, lam)
-    assert terms == [n + 1 - states._lower_start(lam)] == [831]
+    assert terms == [n + 1 - states._lower_start(lam)] == [801]
     # and further below no term is evaluated: the tail is 1.0
     terms.clear()
     assert poisson_tail(int(lam - 30.0 * math.sqrt(lam)), lam) == 1.0
@@ -517,6 +578,21 @@ def test_f_domain_errors():
             f_coefficient(0, b)
         with pytest.raises(DomainError, match="1.6e-162 < b < 1.3e154"):
             states.bounded_f_profile(b)
+
+
+@seed(20181)
+@settings(max_examples=150, deadline=None)
+@given(st.floats(math.log(1.6e-162), math.log(40.0)), st.floats(0.0, 1.0))
+@example(math.log(1e-100), 0.0)  # f(1, 1e-100) = 5.0e-201, 0.0 when P(X > 1) underflowed before the division
+@example(math.log(1.7e-81), 0.0)
+def test_f_coefficient_is_relative_accurate_at_every_radius(log_b, where):
+    b = math.exp(log_b)
+    lam = b * b
+    for n in {0, 1, 2, int(where * (lam + 12.0 * b + 30.0))}:
+        with mpmath.workdps(50):
+            want = mpmath.gammainc(n + 1, 0, mpmath.mpf(lam), regularized=True) / mpmath.mpf(lam)
+        if want >= sys.float_info.min:  # a normal float
+            assert abs(f_coefficient(n, b) - want) <= 1e-12 * want, (n, b)
 
 
 def test_f_tiny_radius_is_vacuum():
@@ -707,9 +783,9 @@ def test_gmes_errors():
      (400.0, 1e-12, 200_000), (420.0, 1e-12, 200_000), (15.0, 1e-3, 230)],
 )
 def test_f_profile_is_one_pass(monkeypatch, b, tol, cap):
-    # the f(n, b) past b^2 + 12 b + 30 sum to at most 7.4e-37, so a second,
-    # longer profile could never move the cutoff: one profile is built, also
-    # at b = 300 and 400, where the running sum stays below 1 - tol
+    # the f(n, b) past _chernoff_range(b^2, 72)'s hi sum to under 3e-36, so a
+    # second, longer profile could never move the cutoff: one profile is built,
+    # also at b = 300 and 400, where the running sum stays below 1 - tol
     calls = []
     tail_array = states._poisson_tail_array
 
@@ -718,7 +794,7 @@ def test_f_profile_is_one_pass(monkeypatch, b, tol, cap):
         return tail_array(lam, nmax, nmin)
 
     monkeypatch.setattr(states, "_poisson_tail_array", spy)
-    nmax = min(int(b * b + 12.0 * b + 30.0), cap)
+    nmax = min(states._chernoff_range(b * b, 72.0)[1], cap)
     try:
         assert states.bounded_f_profile(b, tol, cap)[0].size <= nmax + 1
     except TruncationError as exc:
@@ -767,7 +843,7 @@ def test_repeated_sum_stops_where_the_running_sum_reaches(v, count, where):
 def full_profile(b, tol, cap):
     """bounded_f_profile as a forward cumsum over the whole tail array: the windowed profile's oracle."""
     lam = b * b
-    nmax = min(int(lam + 12.0 * math.sqrt(lam) + 30.0), cap)
+    nmax = min(states._chernoff_range(lam, 72.0)[1], cap)
     if (cap + 1) / lam >= 1.0 - tol:
         f = states._poisson_tail_array(lam, nmax)
         f /= lam
@@ -779,7 +855,7 @@ def full_profile(b, tol, cap):
             return values, max(0.0, 1.0 - states._fsum_repeated_head(values, head))
         if nmax < cap:
             raise TruncationError(f"no cutoff for b={b} at tol={tol}: f(n, b) summed up to n = {nmax} is "
-                                  f"{float(csum[-1])!r} < 1 - tol, short by rounding, as the rest is below 7.4e-37")
+                                  f"{float(csum[-1])!r} < 1 - tol, short by rounding, as the rest is below 3e-36")
     raise TruncationError(f"cutoff for b={b} at tol={tol} exceeds the hard cap {cap}")
 
 
@@ -996,7 +1072,7 @@ def test_mes_overlaps_closed_forms():
 def full_length_overlaps(b, dims):
     """mes_overlaps' gmes branch with its prefix sum run to b^2 + 40 b + 60, whatever N is."""
     lam = b * b
-    csum = np.cumsum(np.sqrt(states._poisson_tail_array(lam, int(lam + states._tail_window(lam))) / lam))
+    csum = np.cumsum(np.sqrt(states._poisson_tail_array(lam, int(lam + 40.0 * math.sqrt(lam) + 60.0)) / lam))
     return [min(1.0, float(csum[min(dim, csum.size) - 1]) / math.sqrt(dim)) for dim in dims]
 
 
@@ -1004,11 +1080,12 @@ def full_length_overlaps(b, dims):
 @given(st.floats(1.7e-162, 45.0),  # b^2 a positive float
        st.lists(st.integers(1, 5000) | st.integers(1, 40) | st.integers(1, 10**9), max_size=6))
 @example(45.0, [1, 2025, 2025 + 1860, 2025 + 1861, 2025 + 1862, 10**9])  # N at and past nmax + 1
+@example(45.0, [1, 2694, 2695, 2696, 10**9])  # N at and past the cut + 1
 @example(0.5, [])
 @example(30.0, [5, 20, 200, 1000])  # fig2 a at its defaults
-# past the cut at b^2 + 14 b + 40 (42,840 and 182,320), up to b^2 + 40 b + 60 and beyond
-@example(200.0, [1, 40_000, 42_840, 42_841, 42_842, 48_060, 48_061, 10**9])
-@example(420.0, [1, 176_400, 182_320, 182_321, 182_322, 193_260, 193_261, 10**9])
+# past the cut at _chernoff_range(b^2, 99)'s hi (42,849 and 182,345), up to b^2 + 40 b + 60 and beyond
+@example(200.0, [1, 40_000, 42_849, 42_850, 42_851, 48_060, 48_061, 10**9])
+@example(420.0, [1, 176_400, 182_345, 182_346, 182_347, 193_260, 193_261, 10**9])
 def test_mes_overlaps_sum_only_to_the_largest_dimension(b, dims):
     # an overlap with MES_N reads no tail past n = N - 1, and the tails it
     # does read are the full-length array's, bit for bit
@@ -1041,7 +1118,7 @@ def per_radius_overlaps(value, dims, cap=states.MAX_CUTOFF):
     overlaps = np.empty((len(radii), n.size))
     for row, b in zip(overlaps, radii):
         lam = states._poisson_mean(b)
-        nmax = int(lam + 14.0 * math.sqrt(lam) + 40.0)
+        nmax = states._chernoff_range(lam, 99.0)[1]
         if nmax > cap:
             raise TruncationError(f"overlap sum for b={b} needs {nmax} terms, past the hard cap {cap}")
         csum = np.cumsum(np.sqrt(states._poisson_tail_array(lam, min(nmax, max(dims, default=1) - 1)) / lam))
@@ -1065,8 +1142,8 @@ def seeded_radii(seed, size, reach, spacing, order):
 
 
 BLOCK_DIMS = {
-    # N = 1, N past nmax = 1360 of b = 30 and N = 10^9; small N leave rows with lam >= N
-    30.0: st.lists(st.sampled_from([1, 2, 7, 50, 1000, 1361, 10**9]) | st.integers(1, 2000), max_size=5),
+    # N = 1, N past nmax = 1358 of b = 30 and N = 10^9; small N leave rows with lam >= N
+    30.0: st.lists(st.sampled_from([1, 2, 7, 50, 1000, 1359, 1361, 10**9]) | st.integers(1, 2000), max_size=5),
     430.0: st.lists(st.sampled_from([1, 7, 300]) | st.integers(1, 5000), max_size=5),
 }
 
@@ -1083,15 +1160,16 @@ def test_mes_overlaps_in_blocks_equal_the_per_radius_loop(seed, size, reach, spa
     assert bits(mes_overlaps("gmes", grid, dims)).tobytes() == bits(per_radius_overlaps(grid, dims)).tobytes()
 
 
-# int(b^2 + 14 b + 40) = MAX_CUTOFF + 1: the least b past the cap
-PAST_CAP_B = 440.2247757000947
+# _chernoff_range(b^2, 99)'s hi = MAX_CUTOFF + 1: the least b past the cap (440.2247757000947 for
+# int(b^2 + 14 b + 40))
+PAST_CAP_B = 440.19541115281976
 
 
 @pytest.mark.parametrize("bad", [math.nan, 0.0, 1e-170, 1e155, PAST_CAP_B])
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 def test_mes_overlaps_refuses_a_radius_before_any_array(monkeypatch, bad, where):
-    lam = PAST_CAP_B * PAST_CAP_B
-    assert int(lam + 14.0 * math.sqrt(lam) + 40.0) == states.MAX_CUTOFF + 1
+    assert states._chernoff_range(PAST_CAP_B**2, 99.0)[1] == states.MAX_CUTOFF + 1
+    assert states._chernoff_range(math.nextafter(PAST_CAP_B, 0.0) ** 2, 99.0)[1] == states.MAX_CUTOFF
     grid = [1.0, 15.0, 30.0, 5.0]
     grid.insert({"first": 0, "middle": 2, "last": 4}[where], bad)
     dims = [5, 200_000]
@@ -1128,11 +1206,11 @@ def test_mes_overlaps_blocks_keep_the_memory_of_one_radius():
 
 def test_mes_overlaps_past_the_spectrum_cap():
     # b = 300 and 400 raise in gmes_spectrum (fault F-trunc), but the overlap
-    # window b^2 + 14 b + 40 is under the cap
+    # window _chernoff_range(b^2, 99)'s hi is under the cap
     for b in (300.0, 400.0):
         values = mes_overlaps("gmes", b, [1, int(b * b), 10**7])
         assert all(0.0 < v <= 1.0 for v in values)
-    # the cap is checked against the whole window b^2 + 14 b + 40, not the largest N
+    # the cap is checked against the whole window, not the largest N
     for dims in ([5], []):
         with pytest.raises(TruncationError):
             mes_overlaps("gmes", 15.0, dims, cap=100)
