@@ -9,7 +9,12 @@ Families:
 
 All spectra are truncated adaptively so the squared-norm mass beyond the
 cutoff stays below a tolerance, and the discarded mass is recorded on the
-result as ``tail_bound``.
+result as ``tail_bound``.  For GMES the cut is where a forward running sum
+reaches 1 - tol, and ``tail_bound`` is 1 minus a correctly rounded sum, so
+the recorded tail can pass tol by rounding: at 160 of the integer radii
+1..420 (1.04e-12 at b = 60, 3.52e-12 at b = 350).  For the same reason
+b = 300 and 400 raise ``TruncationError`` below the hard cap, until the cut
+rule of ROADMAP item 4 lands.
 """
 
 from __future__ import annotations
@@ -242,13 +247,16 @@ def _poisson_tail_array(lam, nmax: int, nmin: int = 0) -> np.ndarray:
     for such terms, nmax.  From the last term on the tail is 0.0.  Both sums come from one kernel call and are
     summed in place.  ``TruncationError`` if a sum needs more than MAX_CUTOFF terms, before any is evaluated.
 
-    A 1-d numpy array of means gives one row per mean, each its own call's array bit for bit.  The rows that read
-    the upper sum (lam < nmax + 1) and the others are two calls, so that no row evaluates a sum it never reads.
-    The rows of one call share one block of terms over the union of their ranges, as a row's terms past its own hi
-    are 0.0, and a sequential sum skips exact zeros bit for bit.  Every row that reads an upper sum has the same far
-    end, anchored at m = nmax + 1 > lam, up to its own hi.  So a row is masked only below its own start and from
-    its split n = floor(lam) on, where its upper sum replaces its lower one; each mask spans only the columns
-    between the rows' lowest and highest such bound.  fig1's grid and mes_overlaps' blocks call this form.
+    A 1-d numpy array of means gives one row per mean, each its own call's array bit for bit where the call returns.
+    The rows that read the upper sum (lam < nmax + 1) and the others are two calls, so that no row evaluates a sum
+    it never reads.  The rows of one call share one block of terms over the union of their ranges, as a row's terms
+    past its own hi are 0.0, and a sequential sum skips exact zeros bit for bit.  Every row that reads an upper sum
+    has the same far end, anchored at m = nmax + 1 > lam, up to its own hi.  So a row is masked only below its own
+    start and from its split n = floor(lam) on, where its upper sum replaces its lower one; each mask spans only the
+    columns between the rows' lowest and highest such bound.  The cap is checked on that union: means 100 and 199000
+    at nmax = 205000 are refused (211,338 terms), though each row's own call sums 205,001.  Both callers of this form
+    stay far inside it: fig1's grid has nmax = 2, and a mes_overlaps block of two rows or more has nmax at most
+    5,119, as rows x (nmax + 1) is at most _OVERLAP_BLOCK_CELLS.
     """
     rows = isinstance(lam, np.ndarray)
     if rows:
@@ -379,10 +387,11 @@ def bounded_f_profile(b: float, tol: float = DEFAULT_TOL, cap: int = MAX_CUTOFF)
     lam = _poisson_mean(b)
     _check_tol(tol)
     _check_cap(cap)
-    nmax = min(_chernoff_range(lam, 72.0)[1], cap)
+    start, end = _chernoff_range(lam, 72.0)
+    nmax = min(end, cap)
     # each f(n, b) is below 1/b^2, so no cutoff within the cap exists when (cap + 1)/b^2 < 1 - tol, seen first
     if (cap + 1) / lam >= 1.0 - tol:
-        head = min(_lower_start(lam), nmax + 1)  # <= cap + 1 < 2^26, as _fsum_repeated_head needs
+        head = min(start, nmax + 1)  # <= cap + 1 < 2^26, as _fsum_repeated_head needs
         carry, count = _repeated_sum(1.0 / lam, head, 1.0 - tol)
         if carry >= 1.0 - tol:  # the cut lies inside the head
             values = np.full(count, 1.0 / lam)

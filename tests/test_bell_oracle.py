@@ -547,7 +547,7 @@ COEFFS = st.one_of(st.just(0.0), st.floats(1e-150, 1.0))
 @example((1.0, 1.0, 1.0), 0)
 @example((1.0, 0.0, 0.0), 0)
 @example((0.9, 0.3, 0.05), 3)
-@example((1.0, 1e-4, 1e-8), 3)  # the smoke check of the CI workflow
+@example((1.0, 1e-4, 1e-8), 3)  # the CLI row of test_cli.py::test_bell_oracle_converges_to_the_closed_form
 @example((1.0, 1e-10, 1e-10), 0)  # a value near 6e-10 from two links of equal weight
 def test_maximize_never_exceeds_the_closed_form(a, seed):
     q = QutritState(np.divide(a, math.hypot(*a)))

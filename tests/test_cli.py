@@ -35,6 +35,18 @@ def run(capsys, *args):
     return code, captured.out, captured.err
 
 
+def run_module(*args):
+    """``python -W error -m gmeslab.cli *args`` in a fresh process: its exit code, stdout and stderr.
+
+    The process goes through the module's ``__main__`` guard and ``entrypoint``; the timeout fails a hang, which
+    no in-process call can.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(gmeslab.cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "gmeslab.cli", *args], env=env, capture_output=True,
+                          text=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
 def rows_of(text):
     lines = text.splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
@@ -79,6 +91,8 @@ def test_spectrum_mes(capsys):
         ("spectrum", "--family", "tmsv", "--r", "1", "--tol", "2"),
         ("spectrum", "--family", "gmes", "--b", "25", "--cap", "100"),
         ("spectrum", "--family", "tmsv", "--r", "400"),
+        # a cutoff past the hard cap of 200000
+        ("spectrum", "--family", "tmsv", "--r", "30"),
     ],
 )
 def test_spectrum_usage_errors(capsys, args):
@@ -149,9 +163,17 @@ def test_cap_outside_the_hard_cap(capsys, args):
     assert err.startswith("error: cutoff cap must lie in [0, 200000]") and err.count("\n") == 1
 
 
+def test_cap_outside_the_hard_cap_is_refused_within_a_minute():
+    # the cutoff search at r = 30 and cap 1e30 never returned: a fresh process under a 60 s timeout fails a hang
+    code, out, err = run_module("spectrum", "--family", "tmsv", "--r", "30", "--cap", str(10**30))
+    assert (code, out) == (2, "")
+    assert err == f"error: cutoff cap must lie in [0, 200000], got {10**30}\n"
+
+
 def test_import_and_default_subcommands_load_no_scipy():
     # log k! comes from the committed table at every default, so scipy loads
-    # only for a pmf range past k = 4095
+    # only for a pmf range past k = 4095; the Kerr weights come from the saddle-point kernel, which reads no log k!
+    # even at |alpha| = 100, where the pmf range passes the table
     script = (
         "import json, os, sys, gmeslab, gmeslab.cli\n"
         "def scipy_modules():\n"
@@ -164,11 +186,11 @@ def test_import_and_default_subcommands_load_no_scipy():
     )
     src = str(Path(gmeslab.cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    commands = list(GOLDEN_CASES.values())
+    commands = [*GOLDEN_CASES.values(), ["kerr", "--alpha", "100", "--d", "3"]]
     done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
     loaded = json.loads(done.stdout)
-    assert len(loaded) == 1 + len(commands) == 10
+    assert len(loaded) == 1 + len(commands) == 11
     assert loaded == dict.fromkeys(loaded, [])
 
 
@@ -506,6 +528,10 @@ def test_fig2_nbar_axis_at_the_top_of_the_float_range(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: fig2 --x nbar needs a finite sinh(r)^2, got r=356.0\n"
+    # and over the default grid from 0 to 800, refused at its first point past 355.3
+    code, out, err = run(capsys, "fig2", "--variant", "b", "--x", "nbar", "--start", "0", "--stop", "800")
+    assert (code, out) == (2, "")
+    assert err == "error: fig2 --x nbar needs a finite sinh(r)^2, got r=355.852842809\n"
 
 
 def test_fig2_variant_b_columns(capsys):
@@ -710,6 +736,27 @@ def test_bell_oracle_uniform(capsys):
 def test_bell_oracle_seeded_deterministic(capsys):
     args = ("bell-oracle", "--a", "0.8", "0.5", "0.33", "--restarts", "2", "--seed", "7")
     assert run(capsys, *args)[1] == run(capsys, *args)[1]
+    # the starts come from one seeded stream, so two fresh processes print the same bytes
+    fresh = [run_module("bell-oracle", "--a", "1", "0.8", "0.5", "--seed", "7") for _ in range(2)]
+    assert fresh[0] == fresh[1]
+    code, out, err = fresh[0]
+    assert (code, err) == (0, "")
+    assert rows_of(out)[0] == ["analytic", "oracle", "gap", "restarts", "converged"]
+
+
+@pytest.mark.parametrize("argv", [
+    # the restart cap's worst case
+    ("--a", "1", "0.7", "0.4", "--restarts", "10000"),
+    # a skewed state, where the search stops by its relative rule
+    ("--a", "1", "1e-4", "1e-8", "--seed", "3"),
+], ids=["restart-cap", "skewed"])
+def test_bell_oracle_converges_to_the_closed_form(capsys, argv):
+    code, out, err = run(capsys, "bell-oracle", *argv)
+    assert (code, err) == (0, "")
+    header, rows = rows_of(out)
+    row = dict(zip(header, rows[0]))
+    assert row["converged"] == "true"
+    assert float(row["gap"]) <= 1e-12 * float(row["analytic"])
 
 
 def test_bell_oracle_zero_vector(capsys):

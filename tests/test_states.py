@@ -109,18 +109,25 @@ def test_poisson_tail_below_mean_memory():
     assert peak < 2_000_000
 
 
-@pytest.mark.parametrize("n,lam", [(1e300, 1e300), (10**20, 1e20)])
+@pytest.mark.parametrize("n,lam", [(1e300, 1e300), (10**20, 1e20),
+                                   pytest.param(205000, np.array([100.0, 199000.0]), id="rows")])
 def test_poisson_tail_refuses_a_band_past_the_cap(n, lam):
     # lam - 38.7 sqrt(lam) rounds to lam at 1e300, and at 1e20 the terms past n
-    # would need a 2.8 TiB array: both sums are refused before any array is built
+    # would need a 2.8 TiB array: both sums are refused before any array is built.
+    # One call over an array of means checks the cap on the union of its rows'
+    # ranges: 211,338 terms here, where each row's own call sums 205,001
+    rows = isinstance(lam, np.ndarray)
     tracemalloc.start()
     try:
         with pytest.raises(TruncationError, match="hard cap"):
-            poisson_tail(n, lam)
+            states._poisson_tail_array(lam, n) if rows else poisson_tail(n, lam)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+    if rows:
+        assert [states._poisson_tail_array(mean, n).size for mean in lam.tolist()] == [n + 1] * 2
+        return
     # the support's ends are integers apart from the mean, and an n outside them
     # still gets its 1.0 or 0.0
     lo, hi = states._pmf_support(lam)
